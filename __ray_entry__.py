@@ -912,7 +912,7 @@ def _q_bm25_distance_feature(sf_dir: str) -> pd.DataFrame:
 
 
 def _q_bm25_pinned(sf_dir: str) -> pd.DataFrame:
-    # pinned query: existing pins first in given order (NULL score),
+    # pinned query: existing pins first in given order (-1.0 score),
     # organic hits excluding pins after
     s = IndexSearcher(documents_index(sf_dir))
     return s.pinned_search(BM25_QUERIES, PINNED_IDS, k=BM25_K)

@@ -3,9 +3,9 @@
 The analog of the reference's query lifecycle (`SURVEY.md` §3.3):
   - query parse/validate -> ``IndexSearcher._prepare``
     (`KNNQueryBuilder.java:228-281,438-508` — driver-side prep, small)
-  - per-segment search    -> ``SegmentSearcher`` actor pool
-    (`JVectorReader.search`, `JVectorReader.java:131-212`; stateful reader
-    constructed once per actor — S5)
+  - per-segment search    -> ``SegmentSearcher``, run in stateless
+    per-segment tasks or on warm ``serve.SearchService`` actors
+    (`JVectorReader.search`, `JVectorReader.java:131-212` — S5)
   - bounded top-k heap    -> per-segment heap/argpartition
     (`JVectorKnnCollector.java:16-64` — O1)
   - per-leaf -> global reduce -> driver merge of <= S small k-lists
@@ -261,9 +261,9 @@ def _sig_text_scan(seg_dir: str, sig_sets: dict[str, np.ndarray],
     analyzer never emits an empty term); nothing match-set- or
     corpus-sized leaves the task.  Cost note: the scan is O(total
     postings) per segment — the same order as building the segment —
-    bounded, distributed, and paid only by this agg kind.  Shared by
-    the stateless task path (SegmentSearcher) and the warm actor path
-    (serve._SegmentActor.agg_partial)."""
+    bounded, distributed, and paid only by this agg kind.  Called by
+    SegmentSearcher on both the stateless task path and the warm
+    serve.SegmentShardActor path."""
     sig_sets = {q: o for q, o in sig_sets.items() if len(o)}
     if not sig_sets:
         return None
@@ -1303,11 +1303,47 @@ def _topk_from_scores(scores: np.ndarray, candidates: np.ndarray,
     return sel_ord[order], sel_sc[order]
 
 
+def _doc_arrays(docs: pa.Table) -> tuple[np.ndarray, np.ndarray | None]:
+    """(doc lengths, tie-break ranks) of one segment's docs table.
+    Bulk-merged segments carry segment-major ordinals + a key_rank
+    column for exact (score, key) tie-breaks; build-time segments are
+    key-sorted so ord == key rank (tie None)."""
+    dl = docs["doc_len"].to_numpy(zero_copy_only=False).astype(np.int64)
+    tie = (docs["key_rank"].to_numpy(zero_copy_only=False).astype(np.int64)
+           if "key_rank" in docs.column_names else None)
+    return dl, tie
+
+
+# modes whose scorers decode from the raw posting rows themselves: the
+# phrase/span family reads positions, WAND decodes block by block.  Every
+# other mode gets each posting list decoded in full up front.
+_LAZY_DECODE_MODES = frozenset({
+    "phrase_prefix", "phrase", "span", "span_or", "span_not",
+    "span_within", "span_containing", "span_ordered", "span_first",
+    "wand"})
+
+
+def _sparse_term_weights(queries: "dict[str, list[tuple[str, float]]]"
+                         ) -> dict[str, list[tuple[str, float]]]:
+    """sparse_vector (token, weight) lists as token-sorted float pairs —
+    the pinned summation order; weights must be > 0."""
+    norm: dict[str, list[tuple[str, float]]] = {}
+    for qid, tw in queries.items():
+        pairs = sorted((str(t), float(w)) for t, w in tw)
+        if any(w <= 0 for _, w in pairs):
+            raise ValueError("sparse_vector weights must be > 0")
+        norm[qid] = pairs
+    return norm
+
+
 class SegmentSearcher:
-    """Actor-pool stage: scores every query against one segment per batch
-    row.  Stateful per the reference's per-segment reader (S5,
-    `JVectorReader.java:42-331`): the payload (analyzed queries + global
-    stats) is deserialized once per actor in ``__init__``."""
+    """The per-segment BM25 kernel: scores every query of the payload
+    against each segment named in a ``seg_dir`` batch (the reference's
+    per-segment reader, S5, `JVectorReader.java:42-331`).  Cold searches
+    run it in stateless Ray Data tasks (``IndexSearcher._map_segments``);
+    ``serve.SearchService`` actors run a subclass whose two read hooks,
+    ``_open_docs`` and ``_postings``, serve cached docs and decoded
+    posting lists."""
 
     def __init__(self, payload: dict):
         self.p = payload
@@ -1404,21 +1440,46 @@ class SegmentSearcher:
         cols["score"] = pa.array([], type=pa.float64())
         return pa.table(cols)
 
+    # -- read hooks: the only segment I/O of the kernel -------------------
+    def _open_docs(self, seg_dir: str
+                   ) -> tuple[pa.Table, np.ndarray, np.ndarray | None]:
+        """(docs table, doc lengths, tie-break ranks) of one segment."""
+        docs = pq.read_table(os.path.join(seg_dir, DOCS_NAME))
+        return (docs, *_doc_arrays(docs))
+
+    def _postings(self, seg_dir: str, terms: Sequence[str], mode: str
+                  ) -> tuple[dict[str, dict], dict[str, tuple]]:
+        """(rows, decoded) for the ``terms`` present in one segment:
+        ``rows`` are the raw posting rows (column -> value), ``decoded``
+        the (ords, tfs) arrays.  Modes outside ``_LAZY_DECODE_MODES``
+        find every present term in ``decoded``; the lazy modes find it
+        in ``rows`` (an up-front decode would make WAND's block skips
+        fictional)."""
+        postings = pq.read_table(os.path.join(seg_dir, POSTINGS_NAME),
+                                 filters=[("term", "in", list(terms))])
+        rows: dict[str, dict] = {}
+        for i in range(postings.num_rows):
+            rows[postings["term"][i].as_py()] = {
+                c: postings[c][i].as_py() for c in postings.column_names}
+        decoded: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        if mode not in _LAZY_DECODE_MODES:
+            for t, r in rows.items():
+                decoded[t] = decode_posting_list(
+                    r["ords_enc"], r["tfs_enc"],
+                    codec=self.p.get("codec", "varint"),
+                    df=r["df"], block_size=self.p.get("block_size", 128),
+                    blk_n=r.get("blk_n"))
+        return rows, decoded
+
     def _search_segment(self, seg_dir: str) -> pa.Table | None:
         p = self.p
         union_terms = p["union_terms"]
         if not union_terms:
             return None
-        docs = pq.read_table(os.path.join(seg_dir, DOCS_NAME))
+        docs, dl, tie = self._open_docs(seg_dir)
         n_docs = docs.num_rows
         if n_docs == 0:
             return None
-        dl = docs["doc_len"].to_numpy(zero_copy_only=False).astype(np.int64)
-        # bulk-merged segments carry segment-major ordinals + a key_rank
-        # column for exact (score, key) tie-breaks; build-time segments
-        # are key-sorted so ord == key rank
-        tie = (docs["key_rank"].to_numpy(zero_copy_only=False).astype(np.int64)
-               if "key_rank" in docs.column_names else None)
 
         boost = (_doc_boost(docs, p["score_fn"])
                  if p.get("score_fn") is not None else None)
@@ -1436,35 +1497,13 @@ class SegmentSearcher:
             mask = np.zeros(n_docs, dtype=bool)
             mask[kept] = True
 
-        postings = pq.read_table(
-            os.path.join(seg_dir, POSTINGS_NAME),
-            filters=[("term", "in", list(union_terms))])
-        rows: dict[str, dict] = {}
-        for i in range(postings.num_rows):
-            rows[postings["term"][i].as_py()] = {
-                c: postings[c][i].as_py()
-                for c in postings.column_names}
-        # eager full decode ONLY for the modes that consume it (taat/
-        # rescore/boolean/synonym/sqs/dismax): phrase/span modes do
-        # their own positional decode from ``rows``, and WAND's whole
-        # point is block-lazy skipping — an up-front O(total postings)
-        # decode made wand_blocks_pruned savings fictional
-        decoded: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        if p["mode"] not in ("phrase_prefix", "phrase", "span",
-                             "span_or", "span_not", "span_within",
-                             "span_containing", "span_ordered",
-                             "span_first", "wand"):
-            for t, r in rows.items():
-                decoded[t] = decode_posting_list(
-                    r["ords_enc"], r["tfs_enc"],
-                    codec=p.get("codec", "varint"),
-                    df=r["df"], block_size=p.get("block_size", 128),
-                    blk_n=r.get("blk_n"))
+        mode = p["mode"]
+        rows, decoded = self._postings(seg_dir, union_terms, mode)
+        present = rows if mode in _LAZY_DECODE_MODES else decoded
 
         out_qid: list[str] = []
         out_ord: list[np.ndarray] = []
         out_sc: list[np.ndarray] = []
-        mode = p["mode"]
         agg = p.get("agg")
         if agg is not None and agg["kind"] in ("filters", "adjacency",
                                                "t_test"):
@@ -1583,7 +1622,8 @@ class SegmentSearcher:
                 out_ord.append(ords)
                 out_sc.append(scores)
                 continue
-            terms = [(t, w, idf) for (t, w, idf) in q["terms"] if t in rows]
+            terms = [(t, w, idf) for (t, w, idf) in q["terms"]
+                     if t in present]
             if not terms:
                 continue
             if mode == "phrase":
@@ -2772,6 +2812,22 @@ class IndexSearcher:
         return pq.read_table(dict_read_paths(dict_dir),
                              columns=["term", "df"], filters=filters)
 
+    # -- segment dispatch: every SegmentSearcher fan-out goes through here
+    def _map_segments(self, payload: dict,
+                      concurrency: int | None = None) -> list[pd.DataFrame]:
+        """Run the segment kernel over every segment of ``self.seg_dirs``
+        and return the per-segment partial frames.  Stateless task
+        fan-out: one-shot searches pay no actor spin-up (~2-5x faster
+        cold); the payload is tiny and pickles per task.  Persistent
+        serving with warm caches overrides this (serve.SearchService)."""
+        seg_ds = rd.from_items([{"seg_dir": d} for d in self.seg_dirs])
+        extra = {"concurrency": concurrency} if concurrency else {}
+        hits = seg_ds.map_batches(
+            _search_segments_task, fn_kwargs={"payload": payload},
+            batch_format="pyarrow", batch_size=1, **extra)
+        return [b.to_pandas()
+                for b in hits.iter_batches(batch_format="pyarrow")]
+
     # -- multi-term expansion (the Lucene MultiTermQuery rewrite family) --
     def expand_prefix(self, prefix: str, max_expansions: int = 50,
                       ) -> list[str]:
@@ -3105,13 +3161,7 @@ class IndexSearcher:
         cols = ["query_id", *self.key_cols, "score"]
         if not union or not self.seg_dirs:
             return self._finalize(pd.DataFrame(columns=cols), k, None)
-        seg_ds = rd.from_items([{"seg_dir": d} for d in self.seg_dirs])
-        extra = {"concurrency": concurrency} if concurrency else {}
-        hits = seg_ds.map_batches(
-            _search_segments_task, fn_kwargs={"payload": payload},
-            batch_format="pyarrow", batch_size=1, **extra)
-        frames = [b.to_pandas()
-                  for b in hits.iter_batches(batch_format="pyarrow")]
+        frames = self._map_segments(payload, concurrency)
         df = pd.concat(frames, ignore_index=True) if frames else \
             pd.DataFrame(columns=cols)
         return self._finalize(df, k, None)
@@ -3208,13 +3258,7 @@ class IndexSearcher:
         cols = ["query_id", *self.key_cols, "score"]
         if not union or not self.seg_dirs:
             return self._finalize(pd.DataFrame(columns=cols), k, None)
-        seg_ds = rd.from_items([{"seg_dir": d} for d in self.seg_dirs])
-        extra = {"concurrency": concurrency} if concurrency else {}
-        hits = seg_ds.map_batches(
-            _search_segments_task, fn_kwargs={"payload": payload},
-            batch_format="pyarrow", batch_size=1, **extra)
-        frames = [b.to_pandas()
-                  for b in hits.iter_batches(batch_format="pyarrow")]
+        frames = self._map_segments(payload, concurrency)
         df = pd.concat(frames, ignore_index=True) if frames else \
             pd.DataFrame(columns=cols)
         return self._finalize(df, k, None)
@@ -3323,13 +3367,7 @@ class IndexSearcher:
             "first_pass_k": cfg.first_pass_k,
             "min_score": None,
         }
-        seg_ds = rd.from_items([{"seg_dir": d} for d in self.seg_dirs])
-        extra = {"concurrency": concurrency} if concurrency else {}
-        hits = seg_ds.map_batches(
-            _search_segments_task, fn_kwargs={"payload": payload},
-            batch_format="pyarrow", batch_size=1, **extra)
-        frames = [b.to_pandas()
-                  for b in hits.iter_batches(batch_format="pyarrow")]
+        frames = self._map_segments(payload, concurrency)
         df = pd.concat(frames, ignore_index=True) if frames else \
             pd.DataFrame(columns=["query_id", *self.key_cols, "score"])
         return self._finalize(df, k, None)
@@ -3404,13 +3442,7 @@ class IndexSearcher:
             "first_pass_k": cfg.first_pass_k,
             "min_score": None,
         }
-        seg_ds = rd.from_items([{"seg_dir": d} for d in self.seg_dirs])
-        extra = {"concurrency": concurrency} if concurrency else {}
-        hits = seg_ds.map_batches(
-            _search_segments_task, fn_kwargs={"payload": payload},
-            batch_format="pyarrow", batch_size=1, **extra)
-        frames = [b.to_pandas()
-                  for b in hits.iter_batches(batch_format="pyarrow")]
+        frames = self._map_segments(payload, concurrency)
         df = pd.concat(frames, ignore_index=True) if frames else \
             pd.DataFrame(columns=["query_id", *self.key_cols, "score"])
         return self._finalize(df, k, None)
@@ -4468,12 +4500,7 @@ class IndexSearcher:
         pairs are summed in TOKEN-SORTED order on both sides (the
         pinned-summation rule: fractional weights make per-doc sums
         fp-order-dependent; the oracle's sum is ordered the same way)."""
-        norm: dict[str, list[tuple[str, float]]] = {}
-        for qid, tw in queries.items():
-            pairs = sorted((str(t), float(w)) for t, w in tw)
-            if any(w <= 0 for _, w in pairs):
-                raise ValueError("sparse_vector weights must be > 0")
-            norm[qid] = pairs
+        norm = _sparse_term_weights(queries)
         texts = {qid: "" for qid in norm}
         return self.search(texts, k=k, filter=filter,
                            term_weights=norm, score_mode="linear_tf")
@@ -5238,15 +5265,8 @@ class IndexSearcher:
         }
         if not union:
             return pd.DataFrame()
-        seg_ds = rd.from_items([{"seg_dir": d} for d in self.seg_dirs])
-        extra = {"concurrency": concurrency} if concurrency else {}
-        out = seg_ds.map_batches(_search_segments_task,
-                                 fn_kwargs={"payload": payload},
-                                 batch_format="pyarrow", batch_size=1,
-                                 **extra)
-        frames = [b.to_pandas()
-                  for b in out.iter_batches(batch_format="pyarrow")]
-        frames = [f for f in frames if not f.empty]
+        frames = [f for f in self._map_segments(payload, concurrency)
+                  if not f.empty]
         if not frames:
             return pd.DataFrame()
         return pd.concat(frames, ignore_index=True)
@@ -5871,15 +5891,7 @@ class IndexSearcher:
                 columns=["query_id", *self.key_cols, "score"]), k, collapse_col,
                 cap_k=min_score is None)
 
-        seg_ds = rd.from_items([{"seg_dir": d} for d in self.seg_dirs])
-        # stateless task fan-out: one-shot searches pay no actor spin-up
-        # (~2-5x faster cold); the payload is tiny and pickles per task.
-        # Persistent serving with warm caches lives in serve.SearchService.
-        extra_kwargs = {"concurrency": concurrency} if concurrency else {}
-        hits = seg_ds.map_batches(
-            _search_segments_task, fn_kwargs={"payload": payload},
-            batch_format="pyarrow", batch_size=1, **extra_kwargs)
-        frames = [b.to_pandas() for b in hits.iter_batches(batch_format="pyarrow")]
+        frames = self._map_segments(payload, concurrency)
         if sort is not None:
             df = pd.concat(frames, ignore_index=True) if frames else \
                 pd.DataFrame(columns=["query_id", *self.key_cols, sort[0],
@@ -5928,11 +5940,15 @@ class IndexSearcher:
             pins = [i for i in pinned.get(qid, ()) if i in present]
             org = organic[organic["query_id"] == qid]
             org = org[~org[kc].isin(pins)]
-            pf = pd.DataFrame({"query_id": [qid] * len(pins),
-                               kc: pins,
-                               "score": [-1.0] * len(pins)})
             of = org[["query_id", kc, "score"]].copy()
             of["score"] = np.round(of["score"].astype(np.float64), 6)
+            # dtypes from the organic frame: a pin-less query's empty
+            # list-built frame is float64, and concat would upcast the
+            # int64 key column with it
+            pf = pd.DataFrame({"query_id": [qid] * len(pins),
+                               kc: pins,
+                               "score": [-1.0] * len(pins)}
+                              ).astype(of.dtypes.to_dict())
             outq = pd.concat([pf, of], ignore_index=True).head(k)
             outq["rank"] = np.arange(1, len(outq) + 1, dtype=np.int64)
             frames.append(outq)

@@ -161,7 +161,7 @@ Supported bodies (one top-level clause per query):
                       "pivot": f, "boost": f, "k": 10}}
                  # + boost * pivot/(pivot+|x-origin|)
     {"pinned":   {"query": "...", "ids": [id, ...], "k": 10}}
-                 # existing ids first (NULL score), organic after
+                 # existing ids first (-1.0 score), organic after
     {"terms_set": {"query": "...", "required_field": col, "k": 10}}
                  # per-doc required matches = max(1, min(n_terms, col))
     {"match_phrase_prefix": {"query": "fast mer", "k": 10,

@@ -1,28 +1,30 @@
 """Persistent query service: long-lived segment-searcher actors.
 
-``IndexSearcher.search`` spins an actor pool per call — right for batch
-pipelines, wasteful for query serving.  ``SearchService`` is the serving
-shape: N named actors, each owning a static subset of segments, created
-once and reused across searches.  Each actor keeps hot state in memory:
+``IndexSearcher.search`` runs one stateless Ray Data task per segment
+per call — right for one-shot and batch searches, wasteful for query
+serving.  ``SearchService`` is the serving shape: N named actors, each
+owning a static subset of segments, created once and reused across
+searches.  Each actor keeps hot state in memory:
 
   - the segments' docs tables + doc-length arrays (the held-open reader,
     S5: `JVectorReader` keeps meta + mmap slices open,
     `JVectorReader.java:42-331`),
   - an LRU cache of decoded posting lists keyed by (segment, term) — the
     analog of the node-level `QuantizationStateCache` (T6,
-    `quantization/models/quantizationState/QuantizationStateCache.java`),
-  - the global dictionary rows it has already looked up.
+    `quantization/models/quantizationState/QuantizationStateCache.java`).
 
-The driver fans a query batch to all actors (`ray.get` on N futures) and
-heap-merges the per-actor top-k lists (A1), identical math/tie-break to
-``IndexSearcher`` — asserted by tests.
+The actors run the same segment kernel as the cold path
+(``query.SegmentSearcher``) through its two read hooks, and the front
+end is an ``IndexSearcher`` whose only difference is that segment
+dispatch fans out to the actors — so warm and cold results are the same
+code, asserted frame-identical by tests.
 """
 
 from __future__ import annotations
 
 import os
 from collections import OrderedDict
-from typing import Any
+from typing import Sequence
 
 import numpy as np
 import pandas as pd
@@ -31,25 +33,46 @@ import pyarrow.parquet as pq
 
 import ray
 
-from opensearch_jvector_ray.analyze import query_term_weights
 from opensearch_jvector_ray.config import EngineConfig
-from opensearch_jvector_ray.functions.scoring import bm25_idf, bm25_tf_part
 from opensearch_jvector_ray.postings import decode_posting_list
-from opensearch_jvector_ray.query import _topk_from_scores
+from opensearch_jvector_ray.query import (
+    _LAZY_DECODE_MODES, IndexSearcher, SegmentSearcher, _doc_arrays,
+    _sparse_term_weights,
+)
 from opensearch_jvector_ray.state.manifest import (
     CONFIG_NAME, DOCS_NAME, POSTINGS_NAME, SEGMENTS_DIR, STATS_NAME, read_json,
 )
+
+
+class _CachedSegmentSearcher(SegmentSearcher):
+    """The segment kernel reading through a shard actor's caches: the
+    resident docs, and the decoded-postings LRU for the modes that only
+    consume decoded (ords, tfs).  The positional and WAND modes read
+    raw rows from disk, as the cold tasks do; so does sqs, whose phrase
+    clauses read positions."""
+
+    def __init__(self, payload: dict, shard: "SegmentShardActor"):
+        super().__init__(payload)
+        self.shard = shard
+
+    def _open_docs(self, seg_dir: str):
+        seg = self.shard.segs[seg_dir]
+        return seg["docs"], seg["dl"], seg["tie"]
+
+    def _postings(self, seg_dir: str, terms: Sequence[str], mode: str):
+        if mode in _LAZY_DECODE_MODES or mode == "sqs":
+            return super()._postings(seg_dir, terms, mode)
+        return {}, self.shard._postings_for(seg_dir, terms)
 
 
 @ray.remote
 class SegmentShardActor:
     """Owns a subset of segments; state survives across searches."""
 
-    def __init__(self, seg_dirs: list[str], cfg_json: str, key_cols: list[str],
+    def __init__(self, seg_dirs: list[str], cfg_json: str,
                  term_cache_size: int = 50_000):
         self.cfg = EngineConfig.from_json(cfg_json)
-        self.key_cols = key_cols
-        self.segs: list[dict] = []
+        self.segs: dict[str, dict] = {}
         self.add_segments(seg_dirs)
         self.term_cache: OrderedDict[tuple[str, str], tuple] = OrderedDict()
         self.term_cache_size = term_cache_size
@@ -65,27 +88,25 @@ class SegmentShardActor:
         flushed segments into the warm actor — existing segment state
         and the postings cache are untouched; new segments become
         searchable on the next query."""
-        import numpy as _np
         for d in seg_dirs:
             docs = pq.read_table(os.path.join(d, DOCS_NAME))
-            self.segs.append({
-                "dir": d,
-                "docs": docs,
-                "dl": docs["doc_len"].to_numpy(zero_copy_only=False).astype(_np.int64),
-                "tie": (docs["key_rank"].to_numpy(zero_copy_only=False).astype(_np.int64)
-                        if "key_rank" in docs.column_names else None),
+            dl, tie = _doc_arrays(docs)
+            self.segs[d] = {
+                "docs": docs, "dl": dl, "tie": tie,
                 # immutable once written — detect the bulk-merge blk_n
                 # column ONCE, not per cache-miss on the hot path
                 "has_bn": "blk_n" in pq.read_schema(
                     os.path.join(d, POSTINGS_NAME)).names,
-            })
+            }
         return len(self.segs)
 
-    def _postings_for(self, seg: dict, terms: list[str]) -> dict[str, tuple]:
+    def _postings_for(self, seg_dir: str, terms: Sequence[str]
+                      ) -> dict[str, tuple]:
+        """Decoded (ords, tfs) per present term, through the LRU."""
         out = {}
         missing = []
         for t in terms:
-            key = (seg["dir"], t)
+            key = (seg_dir, t)
             if key in self.term_cache:
                 self.term_cache.move_to_end(key)
                 out[t] = self.term_cache[key]
@@ -94,13 +115,13 @@ class SegmentShardActor:
                 missing.append(t)
         if missing:
             self.misses += len(missing)
-            path = os.path.join(seg["dir"], POSTINGS_NAME)
+            path = os.path.join(seg_dir, POSTINGS_NAME)
             cols = ["term", "df", "ords_enc", "tfs_enc"]
             # bulk-merged segments carry irregular block sizes (blk_n);
             # the pfor decoder MUST consult them (the NOTES invariant —
             # decoding a bulk-merged pfor run without blk_n silently
             # corrupts ordinals)
-            has_bn = seg["has_bn"]
+            has_bn = self.segs[seg_dir]["has_bn"]
             if has_bn:
                 cols.append("blk_n")
             tbl = pq.read_table(path, filters=[("term", "in", missing)],
@@ -114,137 +135,23 @@ class SegmentShardActor:
                     block_size=self.cfg.block_size,
                     blk_n=(tbl["blk_n"][i].as_py() if has_bn else None))
                 entry = (ords, tfs)
-                self.term_cache[(seg["dir"], t)] = entry
+                self.term_cache[(seg_dir, t)] = entry
                 out[t] = entry
                 found.add(t)
             for t in missing:           # negative caching for absent terms
                 if t not in found:
-                    self.term_cache[(seg["dir"], t)] = None
+                    self.term_cache[(seg_dir, t)] = None
             while len(self.term_cache) > self.term_cache_size:
                 self.term_cache.popitem(last=False)
         return {t: v for t, v in out.items() if v is not None}
 
-    def search(self, queries: list[dict], k: int, avgdl: float,
-               filter=None, linear_tf: bool = False) -> pa.Table:
-        """queries: [{query_id, terms: [(term, weight, idf)]}];
-        ``filter`` is an optional pyarrow dataset Expression evaluated as a
-        pre-filter mask over each segment's docs table (J2 semantics:
-        candidates restricted, global stats untouched).  ``linear_tf``
-        switches to the sparse_vector kernel (weight * tf, no idf / no
-        length norm — query.py's score_mode='linear_tf')."""
-        cfg = self.cfg
-        union = sorted({t for q in queries for (t, _, _) in q["terms"]})
-        parts: list[pa.Table] = []
-        for seg in self.segs:
-            plists = self._postings_for(seg, union)
-            dl = seg["dl"]
-            n_docs = len(dl)
-            mask = None
-            if filter is not None and n_docs:
-                with_ord = seg["docs"].append_column(
-                    "__ord", pa.array(np.arange(n_docs, dtype=np.int64)))
-                kept = with_ord.filter(filter)["__ord"].to_numpy(zero_copy_only=False)
-                mask = np.zeros(n_docs, dtype=bool)
-                mask[kept] = True
-            scores = np.zeros(n_docs, dtype=np.float64)
-            for q in queries:
-                scores[:] = 0.0
-                any_term = False
-                for (t, w, idf) in q["terms"]:
-                    if t not in plists:
-                        continue
-                    any_term = True
-                    ords, tfs = plists[t]
-                    if linear_tf:
-                        scores[ords] += w * tfs
-                    else:
-                        scores[ords] += w * idf * bm25_tf_part(
-                            tfs, dl[ords], avgdl, cfg.k1, cfg.b)
-                if not any_term:
-                    continue
-                if mask is not None:
-                    scores[~mask] = 0.0
-                cand = np.flatnonzero(scores > 0.0)
-                ords_k, sc_k = _topk_from_scores(scores, cand, k, seg["tie"])
-                if len(ords_k) == 0:
-                    continue
-                take = pa.array(ords_k)
-                cols: dict[str, Any] = {
-                    "query_id": pa.array([q["query_id"]] * len(ords_k),
-                                         type=pa.string())}
-                for kc in self.key_cols:     # preserves source column dtypes
-                    cols[kc] = seg["docs"][kc].take(take)
-                cols["score"] = pa.array(sc_k, type=pa.float64())
-                parts.append(pa.table(cols))
-        if not parts:
-            cols = {"query_id": pa.array([], type=pa.string())}
-            for kc in self.key_cols:
-                cols[kc] = self.segs[0]["docs"][kc].slice(0, 0) if self.segs \
-                    else pa.array([], type=pa.string())
-            cols["score"] = pa.array([], type=pa.float64())
-            return pa.table(cols)
-        return pa.concat_tables(parts)
-
-    def agg_partial(self, queries: list[dict], agg: dict,
-                    min_score: float, avgdl: float) -> pa.Table | None:
-        """Warm aggregation partial: the same radial scoring loop as
-        ``search`` (cached postings) reduced per segment by
-        ``query._agg_partial`` — aggregate-sized rows leave the actor,
-        never the hit set.  Serves every agg kind the batch path has
-        (terms/stats/hist/range/date_hist/top_hits/filters/terms_stats/
-        hll/parent_max)."""
-        from opensearch_jvector_ray.query import (
-            _agg_partial, _topk_from_scores,
-        )
-        cfg = self.cfg
-        union = sorted({t for q in queries for (t, _, _) in q["terms"]})
-        if not union:
-            return None
-        parts: list[pa.Table] = []
-        for seg in self.segs:
-            plists = self._postings_for(seg, union)
-            dl = seg["dl"]
-            n_docs = len(dl)
-            if n_docs == 0:
-                continue
-            seg_agg = agg
-            if agg["kind"] in ("filters", "adjacency", "t_test"):
-                from opensearch_jvector_ray.query import _filters_masks
-                seg_agg = {**agg, "_masks": _filters_masks(
-                    seg["docs"], agg["filters"])}
-            sig_sets: dict[str, np.ndarray] = {}
-            for q in queries:
-                scores = np.zeros(n_docs, dtype=np.float64)
-                any_term = False
-                for (t, w, idf) in q["terms"]:
-                    if t not in plists:
-                        continue
-                    any_term = True
-                    ords, tfs = plists[t]
-                    scores[ords] += w * idf * bm25_tf_part(
-                        tfs, dl[ords], avgdl, cfg.k1, cfg.b)
-                if not any_term:
-                    continue
-                cand = np.flatnonzero(scores > 0.0)
-                cand = cand[scores[cand] >= min_score]
-                if not len(cand):
-                    continue
-                # (score desc, key asc) order — the radial collector's
-                # contract that top_hits partials rely on
-                ords_s, sc_s = _topk_from_scores(scores, cand,
-                                                 len(cand), seg["tie"])
-                if agg["kind"] == "sig_text":
-                    # one postings scan per segment serves all queries
-                    sig_sets[q["query_id"]] = ords_s
-                    continue
-                parts.append(_agg_partial(seg_agg, seg["docs"], ords_s,
-                                          q["query_id"], scores=sc_s))
-            if agg["kind"] == "sig_text" and sig_sets:
-                from opensearch_jvector_ray.query import _sig_text_scan
-                parts.append(_sig_text_scan(seg["dir"], sig_sets, n_docs,
-                                            cfg.codec, cfg.block_size))
-        parts = [p for p in parts if p is not None and p.num_rows]
-        return pa.concat_tables(parts) if parts else None
+    def run(self, payload: dict) -> pa.Table:
+        """The one scoring entry point: the segment kernel over every
+        segment this actor holds (search hits or aggregation partials,
+        as the payload asks)."""
+        batch = pa.table({"seg_dir": pa.array(list(self.segs),
+                                              type=pa.string())})
+        return _CachedSegmentSearcher(payload, self)(batch)
 
     def cache_stats(self) -> dict:
         return {"hits": self.hits, "misses": self.misses,
@@ -260,7 +167,6 @@ class SearchService:
         meta = read_json(os.path.join(index_dir, CONFIG_NAME))
         self.cfg = EngineConfig.from_json(meta["config"])
         self.stats = read_json(os.path.join(index_dir, STATS_NAME))
-        self.key_cols = list(meta["spec"]["key_cols"])
         self.index_dir = index_dir
         from opensearch_jvector_ray.state.manifest import resolve_dict_dir
         self.dict_dir = resolve_dict_dir(index_dir)
@@ -271,7 +177,7 @@ class SearchService:
         shards = [seg_dirs[i::num_shards] for i in range(num_shards)]
         self.actors = [
             SegmentShardActor.options(num_cpus=1).remote(
-                s, self.cfg.to_json(), self.key_cols, term_cache_size)
+                s, self.cfg.to_json(), term_cache_size)
             for s in shards]
         self._assigned = set(seg_dirs)
         self._shards = [list(s) for s in shards]   # per-actor segment
@@ -288,6 +194,7 @@ class SearchService:
         self._req_cache_size = int(request_cache_size)
         self._req_hits = 0
         self._req_misses = 0
+        self._agg_facade: _ServedAggSearcher | None = None
 
     @staticmethod
     def _req_key(queries, k, filter, term_weights, linear_tf):
@@ -362,9 +269,8 @@ class SearchService:
         for i in dead:
             self.actors[i] = SegmentShardActor.options(
                 num_cpus=1).remote(self._shards[i], self.cfg.to_json(),
-                                   self.key_cols, self._term_cache_size)
+                                   self._term_cache_size)
         self.respawns += len(dead)
-        self._agg_facade = None            # facade holds actor handles
 
     def _gather(self, make_futures) -> list:
         """ray.get over per-actor futures with ONE transparent
@@ -397,27 +303,6 @@ class SearchService:
                 self._respawn(dead)
         raise AssertionError("unreachable")
 
-    # dictionary lookup identical to IndexSearcher (global stats)
-    def _prepare(self, queries: dict[str, str], k: int,
-                 term_weights: dict[str, list[tuple[str, float]]] | None = None,
-                 ) -> list[dict]:
-        from opensearch_jvector_ray.query import IndexSearcher
-        terms_all: set[str] = set()
-        parsed = []
-        for qid, text in queries.items():
-            tw = list(term_weights[qid]) if term_weights is not None \
-                else query_term_weights(text, self.cfg)
-            parsed.append((qid, tw))
-            terms_all.update(t for t, _ in tw)
-        df_map = IndexSearcher.lookup_df(self, sorted(terms_all))  # reuse impl
-        n = float(self.stats["n_docs_indexed"])
-        out = []
-        for qid, tw in parsed:
-            terms = [(t, float(w), float(bm25_idf(n, df_map[t])))
-                     for t, w in tw if df_map.get(t, 0) > 0]
-            out.append({"query_id": qid, "terms": terms})
-        return out
-
     def search(self, queries: dict[str, str], k: int = 10,
                filter=None,
                term_weights: dict[str, list[tuple[str, float]]] | None = None,
@@ -440,23 +325,9 @@ class SearchService:
             self._req_hits += 1
             return hit.copy()
         self._req_misses += 1
-        prepared = self._prepare(queries, k, term_weights)
-        avgdl = float(self.stats["avgdl"] or 1.0)
-        results = self._gather(
-            lambda acts: [a.search.remote(prepared, k, avgdl, filter,
-                                          linear_tf) for a in acts])
-        tables = [t for t in results if t.num_rows]
-        if not tables:
-            df = pd.DataFrame(columns=["query_id", *self.key_cols, "score"])
-        else:
-            df = pa.concat_tables(tables).to_pandas()
-        df = df.sort_values(
-            ["query_id", "score", *self.key_cols],
-            ascending=[True, False] + [True] * len(self.key_cols),
-            kind="mergesort").groupby("query_id", sort=False).head(k)
-        df["rank"] = df.groupby("query_id", sort=False).cumcount() + 1
-        out = df[["query_id", "rank", *self.key_cols,
-                  "score"]].reset_index(drop=True)
+        out = self.agg.search(
+            queries, k=k, filter=filter, term_weights=term_weights,
+            score_mode="linear_tf" if linear_tf else "bm25")
         if self._req_cache_size > 0:
             self._req_cache[key] = out.copy()
             while len(self._req_cache) > self._req_cache_size:
@@ -471,28 +342,19 @@ class SearchService:
         postings with the linear-tf kernel — frame-identical to
         IndexSearcher.sparse_vector_search (pytest-pinned; same
         weight>0 validation and token-sorted summation order)."""
-        norm = {}
-        for qid, tw in queries.items():
-            pairs = sorted((str(t), float(w)) for t, w in tw)
-            if any(w <= 0 for _, w in pairs):
-                raise ValueError("sparse_vector weights must be > 0")
-            norm[qid] = pairs
+        norm = _sparse_term_weights(queries)
         texts = {qid: "" for qid in norm}
         return self.search(texts, k=k, filter=filter,
                            term_weights=norm, linear_tf=True)
 
     @property
     def agg(self) -> "_ServedAggSearcher":
-        """Warm aggregation facade: the full IndexSearcher aggregation
-        API (facet_counts, stats_agg, histogram_agg, range_agg,
-        date_histogram_agg incl. pipelines, top_hits_agg,
-        cardinality_agg, percentiles_agg, significant_terms_agg,
-        filters_agg, terms_stats_agg, composite_agg, multi_terms_agg,
-        rare_terms_agg, extended_stats_agg, weighted_avg_agg,
-        bucket_metric_agg, has_child_search all modes)
-        with the per-segment partials computed on THIS service's warm
-        actors (cached postings) instead of fresh stateless tasks."""
-        if getattr(self, "_agg_facade", None) is None:
+        """Warm facade: the full IndexSearcher API (search modes and the
+        aggregation family) over this service's current segment set and
+        global stats, with the per-segment kernel run on THIS service's
+        warm actors (cached docs and postings) instead of fresh
+        stateless tasks."""
+        if self._agg_facade is None:
             self._agg_facade = _ServedAggSearcher(self)
         return self._agg_facade
 
@@ -506,114 +368,23 @@ class SearchService:
         self.actors = []
 
 
-class _ServedAggSearcher:
-    """IndexSearcher aggregation facade over a SearchService: reuses the
-    IndexSearcher aggregation METHODS unchanged (they only consume
-    ``_agg_fanout`` + cfg/stats/key_cols), but the fan-out goes to the
-    service's warm actors.  Constructed via ``SearchService.agg``."""
-
-    # borrow the driver-side aggregation methods wholesale — they are
-    # pure reductions over the partial frames _agg_fanout returns
-    from opensearch_jvector_ray.query import IndexSearcher as _IS
-    facet_counts = _IS.facet_counts
-    stats_agg = _IS.stats_agg
-    histogram_agg = _IS.histogram_agg
-    range_agg = _IS.range_agg
-    date_histogram_agg = _IS.date_histogram_agg
-    top_hits_agg = _IS.top_hits_agg
-    cardinality_agg = _IS.cardinality_agg
-    percentiles_agg = _IS.percentiles_agg
-    significant_terms_agg = _IS.significant_terms_agg
-    significant_text_agg = _IS.significant_text_agg
-    filters_agg = _IS.filters_agg
-    terms_stats_agg = _IS.terms_stats_agg
-    composite_agg = _IS.composite_agg
-    multi_terms_agg = _IS.multi_terms_agg
-    rare_terms_agg = _IS.rare_terms_agg
-    extended_stats_agg = _IS.extended_stats_agg
-    weighted_avg_agg = _IS.weighted_avg_agg
-    bucket_metric_agg = _IS.bucket_metric_agg
-    adjacency_matrix_agg = _IS.adjacency_matrix_agg
-    string_stats_agg = _IS.string_stats_agg
-    matrix_stats_agg = _IS.matrix_stats_agg
-    date_range_agg = _IS.date_range_agg
-    top_metrics_agg = _IS.top_metrics_agg
-    percentile_ranks_agg = _IS.percentile_ranks_agg
-    missing_agg = _IS.missing_agg
-    value_count_agg = _IS.value_count_agg
-    variable_width_histogram_agg = _IS.variable_width_histogram_agg
-    sampler_agg = _IS.sampler_agg
-    diversified_sampler_agg = _IS.diversified_sampler_agg
-    auto_date_histogram_agg = _IS.auto_date_histogram_agg
-    cumulative_cardinality_agg = _IS.cumulative_cardinality_agg
-    scripted_metric_agg = _IS.scripted_metric_agg
-    mad_agg = _IS.mad_agg
-    boxplot_agg = _IS.boxplot_agg
-    t_test_agg = _IS.t_test_agg
-    # global_stats_agg reads docs sidecars directly (no postings), so
-    # the borrowed method works unchanged off seg_dirs (cold read)
-    global_stats_agg = _IS.global_stats_agg
-    count = _IS.count                 # warm: rides _agg_fanout below
-    tdigest_percentiles_agg = _IS.tdigest_percentiles_agg   # warm
-    approx_terms_agg = _IS.approx_terms_agg                 # warm
-    # sidecar-only reads (no postings): borrowed unchanged, cold read
-    children_terms_agg = _IS.children_terms_agg
-    field_stats = _IS.field_stats
-    mget = _IS.mget
-    _field_value_counts = _IS._field_value_counts
-    lookup_df = _IS.lookup_df
-    _read_dictionary = _IS._read_dictionary
-    del _IS
+class _ServedAggSearcher(IndexSearcher):
+    """IndexSearcher bound to a SearchService: a point-in-time view of
+    the segments the service's actors hold and the global stats of its
+    last refresh.  Only the segment dispatch differs — every
+    SegmentSearcher fan-out goes to the warm actors; fan-outs that read
+    docs sidecars only (mget, field_stats, ...) stay stateless tasks.
+    Constructed via ``SearchService.agg``."""
 
     def __init__(self, svc: SearchService):
+        super().__init__(svc.index_dir, pit={
+            "seg_dirs": sorted(svc._assigned), "stats": svc.stats,
+            "dict_dir": svc.dict_dir,
+            "config_fingerprint": svc.cfg.fingerprint()})
         self._svc = svc
-        self.cfg = svc.cfg
-        self.stats = svc.stats
-        self.key_cols = svc.key_cols
-        self.index_dir = svc.index_dir
-        from opensearch_jvector_ray.state.manifest import resolve_dict_dir
-        self.dict_dir = resolve_dict_dir(svc.index_dir)
-        seg_root = os.path.join(svc.index_dir, SEGMENTS_DIR)
-        self.seg_dirs = sorted(
-            os.path.join(seg_root, d) for d in os.listdir(seg_root)
-            if d.startswith("seg="))
-        self._docs_schema = pq.read_schema(
-            os.path.join(self.seg_dirs[0], DOCS_NAME)) \
-            if self.seg_dirs else None
 
-    def has_child_search(self, queries, k=None, score_mode="max",
-                         parent_col=None):
-        # all four modes are order-free since the integer-micro sum
-        # partials landed — the warm path serves them unchanged
-        from opensearch_jvector_ray.query import IndexSearcher
-        return IndexSearcher.has_child_search(
-            self, queries, k=k, score_mode=score_mode,
-            parent_col=parent_col)
-
-    def _agg_fanout(self, queries, agg, min_score, term_weights,
-                    concurrency) -> pd.DataFrame:
-        if self._docs_schema is None:
-            # zero segments (NRT service created before the first
-            # flush): the batch path returns an empty frame here —
-            # the warm path must agree, not crash on the schema check
-            return pd.DataFrame()
-        named = [agg[ck] for ck in ("col", "val_col", "w_col", "col_y")
-                 if ck in agg]
-        named += list(agg.get("cols", ()))
-        for cn in named:
-            if cn not in self._docs_schema.names:
-                raise ValueError(
-                    f"agg column {cn!r} is not a stored doc "
-                    f"column ({self._docs_schema.names})")
-        prepared = self._svc._prepare(queries, self.cfg.default_k,
-                                      term_weights)
-        avgdl = float(self.stats["avgdl"] or 1.0)
-        results = self._svc._gather(
-            lambda acts: [a.agg_partial.remote(prepared, agg,
-                                               float(min_score), avgdl)
-                          for a in acts])
-        tables = [t for t in results
-                  if t is not None and t.num_rows]
-        if not tables:
-            return pd.DataFrame()
-        return pa.concat_tables(tables).to_pandas()
+    def _map_segments(self, payload: dict,
+                      concurrency: int | None = None) -> list[pd.DataFrame]:
+        tables = self._svc._gather(
+            lambda acts: [a.run.remote(payload) for a in acts])
+        return [t.to_pandas() for t in tables]

@@ -434,6 +434,17 @@ def test_pinned_search_order(idx):
         s.pinned_search(Q, {"q": [1, 1]}, k=5)
 
 
+def test_pinned_search_key_dtype_with_a_pinless_query(idx):
+    # a query with no pins must not upcast the int64 key column
+    s = IndexSearcher(idx)
+    out = s.pinned_search({"q": "alpha delta", "r": "beta gamma"},
+                          {"q": [2, 5]}, k=6)
+    assert set(out["query_id"]) == {"q", "r"}
+    assert out["doc_id"].dtype == np.int64
+    assert out["rank"].dtype == np.int64
+    assert out["score"].dtype == np.float64
+
+
 def test_dsl_round11_query_clauses(idx):
     s = IndexSearcher(idx)
     spec = {"kind": "saturation", "field": "n_chars", "pivot": 15.0,
