@@ -30,12 +30,14 @@ from __future__ import annotations
 
 import heapq
 import os
-from typing import Any, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.dataset as ds
+import pyarrow.fs as pafs
 import pyarrow.parquet as pq
 
 import ray.data as rd
@@ -248,8 +250,8 @@ def _levenshtein_vec(cands: Sequence[str], q: str) -> np.ndarray:
 
 
 def _sig_text_scan(seg_dir: str, sig_sets: dict[str, np.ndarray],
-                   n_docs: int, codec: str,
-                   block_size: int) -> pa.Table | None:
+                   n_docs: int, codec: str, block_size: int,
+                   schema: pa.Schema) -> pa.Table | None:
     """significant_text foreground partial [OpenSearch significant_text
     public semantics — significance over the ANALYZED INDEX TERMS of
     the match set, not a stored field]: per query, per term, fg
@@ -297,530 +299,465 @@ def _sig_text_scan(seg_dir: str, sig_sets: dict[str, np.ndarray],
         out_q.append(q)
         out_t.append("")
         out_c.append(int(M[i].sum()))
-    return pa.table({
-        "query_id": pa.array(out_q, type=pa.string()),
-        "term": pa.array(out_t, type=pa.string()),
-        "doc_count": pa.array(out_c, type=pa.int64())})
+    return pa.table({"query_id": out_q, "term": out_t, "doc_count": out_c},
+                    schema=schema)
 
 
-def _agg_partial(agg: dict, docs: pa.Table, ords: np.ndarray,
-                 qid: str, scores: np.ndarray | None = None) -> pa.Table:
-    """Per-segment aggregation PARTIAL over the qualifying doc ordinals
-    (the combiner-first rule: only aggregate-sized rows leave the task).
+def _int_values(docs: pa.Table, col: str, ords: np.ndarray) -> np.ndarray:
+    """A stored column's values at ``ords`` as int64 (the integer
+    metric partials: order-free, int64 range assumed and documented
+    per wrapper)."""
+    return docs[col].take(pa.array(ords)).to_numpy(zero_copy_only=False) \
+        .astype(np.int64)
 
-    kinds: ``terms`` (value counts), ``stats`` (count/sum/min/max over an
-    int column — integer arithmetic, order-free, int64 range documented),
-    ``hist`` (counts per floor(v/interval)*interval bucket; exact for
-    |v| < 2^53, mirrored by the oracle's DOUBLE floor), ``range``
-    (counts per [lo, hi) caller-keyed range, zero rows elided — the
-    driver zero-fills the query x range grid), ``date_hist`` (counts per
-    calendar bucket: ts truncated to month/day/hour starts — exact
-    integer datetime64 truncation, the oracle's date_trunc), ``top_hits``
-    (per-bucket top-n hit rows — ``ords``/``scores`` arrive already
-    (score desc, key asc) sorted from the radial collector, so the
-    partial is a stable per-bucket head(n); <= n x buckets rows ship)."""
-    if agg["kind"] == "top_hits":
-        take = pa.array(ords)
-        bucket = docs[agg["col"]].take(take)
-        import pandas as _pd
-        bvals = bucket.to_numpy(zero_copy_only=False)
-        # stable cumcount within bucket over the pre-sorted (score desc,
-        # key asc) order the radial collector emitted
-        pos = _pd.Series(np.zeros(len(ords), dtype=np.int64)) \
-            .groupby(bvals, sort=False).cumcount()
-        keep = (pos < agg["n"]).to_numpy()
-        kept = ords[keep]
-        kt = pa.array(kept)
-        cols: dict[str, Any] = {
-            "query_id": pa.array([qid] * len(kept), type=pa.string()),
-            agg["col"]: docs[agg["col"]].take(kt),
-        }
-        for kc in agg["key_cols"]:
-            cols[kc] = docs[kc].take(kt)
-        cols["score"] = pa.array(scores[keep], type=pa.float64())
-        return pa.table(cols)
-    if agg["kind"] == "top_metrics":
-        # top_metrics aggregation partial [OpenSearch top_metrics-agg
-        # public semantics]: the metric column values of the best n
-        # docs by a stored SORT column ((sort dir, key asc) — the
-        # global rule; within a segment key-asc == key_rank, or ord for
-        # key-sorted build segments).  <= n rows ship per segment; the
-        # driver re-merges by the same order.
-        tie = (docs["key_rank"].to_numpy(zero_copy_only=False)
-               .astype(np.int64)
-               if "key_rank" in docs.column_names
-               else np.arange(docs.num_rows, dtype=np.int64))
-        sv = docs[agg["col"]].take(pa.array(ords)) \
-            .to_numpy(zero_copy_only=False)
-        if sv.dtype.kind == "M":
-            sv = sv.astype("datetime64[us]").astype(np.int64)
-        # integer sort cols stay EXACT int64 (a float64 cast would
-        # collapse values above 2^53 and drift from the driver's and
-        # the oracle's exact integer sorts); floats sort IEEE like SQL
-        if sv.dtype.kind == "f":
-            key = -sv if agg["desc"] else sv
-        else:
-            sv = sv.astype(np.int64)
-            key = -sv if agg["desc"] else sv
-        order = np.lexsort((tie[ords], key))
-        sel = ords[order[:agg["n"]]]
-        take = pa.array(sel)
-        out_cols: dict[str, Any] = {
-            "query_id": pa.array([qid] * len(sel), type=pa.string()),
-        }
-        for kc in agg["key_cols"]:
-            out_cols[kc] = docs[kc].take(take)
-        out_cols[agg["col"]] = docs[agg["col"]].take(take)
-        for mc in agg["m_cols"]:
-            out_cols[mc] = docs[mc].take(take)
-        return pa.table(out_cols)
-    if agg["kind"] == "filters":
-        # named filter-context buckets [OpenSearch filters-agg public
-        # semantics]: per named spec, the count of qualifying docs that
-        # ALSO pass the filter.  The masks are QUERY-independent —
-        # callers precompute them once per segment via _filters_masks
-        # and pass them in "_masks"; only the mask x hit-set
-        # intersection here depends on the query.
-        masks = agg.get("_masks")
-        if masks is None:
-            masks = _filters_masks(docs, agg["filters"])
-        keys, cnts = [], []
-        for fkey, _ in agg["filters"]:
-            c = int(masks[fkey][ords].sum())
-            if c:
-                keys.append(fkey)
-                cnts.append(c)
-        return pa.table({
-            "query_id": pa.array([qid] * len(keys), type=pa.string()),
-            "filter_key": pa.array(keys, type=pa.string()),
-            "doc_count": pa.array(np.asarray(cnts, dtype=np.int64),
-                                  type=pa.int64()),
-        })
-    if agg["kind"] == "adjacency":
-        # adjacency_matrix aggregation partial [OpenSearch
-        # adjacency_matrix-agg public semantics]: per named filter the
-        # match-set count, plus per filter PAIR the intersection count
-        # (key "a&b", names in sorted order).  Masks are
-        # query-independent (precomputed like the filters kind); only
-        # nonzero cells ship — the driver sums then drops zero totals
-        # (OpenSearch omits empty buckets).
-        masks = agg.get("_masks")
-        if masks is None:
-            masks = _filters_masks(docs, agg["filters"])
-        names = [k for k, _ in agg["filters"]]
-        sel = {k: masks[k][ords] for k in names}
-        keys, cnts = [], []
-        for i, a in enumerate(names):
-            c = int(sel[a].sum())
-            if c:
-                keys.append(a)
-                cnts.append(c)
-            for b in names[i + 1:]:
-                c2 = int((sel[a] & sel[b]).sum())
-                if c2:
-                    keys.append(f"{a}&{b}")
-                    cnts.append(c2)
-        return pa.table({
-            "query_id": pa.array([qid] * len(keys), type=pa.string()),
-            "filter_key": pa.array(keys, type=pa.string()),
-            "doc_count": pa.array(np.asarray(cnts, dtype=np.int64),
-                                  type=pa.int64()),
-        })
-    if agg["kind"] == "t_test":
-        # t_test aggregation partial [OpenSearch t_test-agg public
-        # semantics, unpaired heteroscedastic (Welch) form]: the match
-        # set is split by two NAMED structured filters a / b (the
-        # filters-agg spec machinery — ONE spec drives engine + oracle);
-        # per side an order-free integer (n, sum, sum-of-squares)
-        # triple ships in ONE row per segment (int64 range assumed like
-        # ext_stats: |v|^2 x doc_count < 2^63).  Every float (means,
-        # sample variances, the t statistic) derives on the driver from
-        # a pinned op chain shared verbatim with the generated SQL.
-        masks = agg.get("_masks")
-        if masks is None:
-            masks = _filters_masks(docs, agg["filters"])
-        v = docs[agg["col"]].take(pa.array(ords)) \
-            .to_numpy(zero_copy_only=False).astype(np.int64)
-        (ka, _), (kb, _) = agg["filters"]
-        va = v[masks[ka][ords]]
-        vb = v[masks[kb][ords]]
-        return pa.table({
-            "query_id": pa.array([qid], type=pa.string()),
-            "n_a": pa.array([len(va)], type=pa.int64()),
-            "sum_a": pa.array([int(va.sum())], type=pa.int64()),
-            "sos_a": pa.array([int(np.dot(va, va))], type=pa.int64()),
-            "n_b": pa.array([len(vb)], type=pa.int64()),
-            "sum_b": pa.array([int(vb.sum())], type=pa.int64()),
-            "sos_b": pa.array([int(np.dot(vb, vb))], type=pa.int64()),
-        })
-    if agg["kind"] == "string_stats":
-        # string_stats aggregation partial [OpenSearch string_stats-agg
-        # public semantics]: integer (count, min_len, max_len, len_sum)
-        # over the non-null values of a string column PLUS per-character
-        # counts (charset-bounded rows — the entropy combiner).  Lengths
-        # are unicode codepoints (pc.utf8_length == SQL length()).
-        sv = docs[agg["col"]].take(pa.array(ords)).drop_null()
-        lens = pc.utf8_length(sv).to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        if not len(lens):
-            return pa.table({
-                "query_id": pa.array([], type=pa.string()),
-                "ch": pa.array([], type=pa.int64()),
-                "ch_count": pa.array([], type=pa.int64()),
-                "doc_count": pa.array([], type=pa.int64()),
-                "len_sum": pa.array([], type=pa.int64()),
-                "len_min": pa.array([], type=pa.int64()),
-                "len_max": pa.array([], type=pa.int64()),
-            })
-        joined = "".join(sv.to_pylist())
-        cu, cc = np.unique(np.frombuffer(joined.encode("utf-32-le"),
-                                         dtype=np.uint32), return_counts=True)
-        n = len(lens)
-        out_cols = {
-            "query_id": pa.array([qid] * (len(cu) + 1), type=pa.string()),
-            # row 0 carries the scalar partial; char rows follow
-            "ch": pa.array([-1] + [int(c) for c in cu], type=pa.int64()),
-            "ch_count": pa.array([0] + cc.astype(np.int64).tolist(),
-                                 type=pa.int64()),
-            "doc_count": pa.array([n] + [0] * len(cu), type=pa.int64()),
-            "len_sum": pa.array([int(lens.sum())] + [0] * len(cu),
-                                type=pa.int64()),
-            "len_min": pa.array([int(lens.min())] + [0] * len(cu),
-                                type=pa.int64()),
-            "len_max": pa.array([int(lens.max())] + [0] * len(cu),
-                                type=pa.int64()),
-        }
-        return pa.table(out_cols)
-    if agg["kind"] == "matrix":
-        # matrix_stats aggregation partial [OpenSearch matrix_stats-agg
-        # public semantics, two-field form]: the six int64 moments
-        # (n, sum_x, sum_y, sum_xx, sum_yy, sum_xy) — order-free integer
-        # arithmetic; int64 range assumed (|x*y| x doc_count < 2^63,
-        # documented like the stats kind).  Every float (means,
-        # variances, covariance, correlation) derives at the END from a
-        # pinned op chain shared with the generated SQL.
-        take = pa.array(ords)
-        x = docs[agg["col"]].take(take) \
-            .to_numpy(zero_copy_only=False).astype(np.int64)
-        y = docs[agg["col_y"]].take(take) \
-            .to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table({
-            "query_id": pa.array([qid], type=pa.string()),
-            "doc_count": pa.array([len(x)], type=pa.int64()),
-            "x_sum": pa.array([int(x.sum())], type=pa.int64()),
-            "y_sum": pa.array([int(y.sum())], type=pa.int64()),
-            "xx_sum": pa.array([int(np.dot(x, x))], type=pa.int64()),
-            "yy_sum": pa.array([int(np.dot(y, y))], type=pa.int64()),
-            "xy_sum": pa.array([int(np.dot(x, y))], type=pa.int64()),
-        })
-    if agg["kind"] == "terms_stats":
-        # terms bucket + stats sub-aggregation [OpenSearch terms agg
-        # with a stats sub-agg]: per bucket value, integer
-        # (count, sum, min, max) partials of the value column
-        import pandas as _pd
-        take = pa.array(ords)
-        b = docs[agg["col"]].take(take).to_numpy(zero_copy_only=False)
-        v = docs[agg["val_col"]].take(take) \
-            .to_numpy(zero_copy_only=False).astype(np.int64)
-        g = (_pd.DataFrame({"b": b, "v": v}).groupby("b", sort=False)["v"]
-             .agg(doc_count="count", v_sum="sum", v_min="min",
-                  v_max="max").reset_index())
-        return pa.table({
-            "query_id": pa.array([qid] * len(g), type=pa.string()),
-            agg["col"]: pa.array(g["b"]),
-            "doc_count": pa.array(g["doc_count"].to_numpy(np.int64),
-                                  type=pa.int64()),
-            "v_sum": pa.array(g["v_sum"].to_numpy(np.int64),
-                              type=pa.int64()),
-            "v_min": pa.array(g["v_min"].to_numpy(np.int64),
-                              type=pa.int64()),
-            "v_max": pa.array(g["v_max"].to_numpy(np.int64),
-                              type=pa.int64()),
-        })
-    if agg["kind"] == "multi_terms":
-        # multi_terms aggregation partial [OpenSearch multi_terms-agg
-        # public semantics]: value counts per COMPOSITE key of several
-        # stored columns.  Docs missing ANY key field are skipped (the
-        # OpenSearch terms-family rule); counting is count_all so the
-        # partial is row-count, never key-column-null-count.
-        take = pa.array(ords)
-        sub = docs.select(agg["cols"]).take(take).drop_null()
-        vc = sub.group_by(agg["cols"]).aggregate([([], "count_all")])
-        out_cols: dict[str, Any] = {
-            "query_id": pa.array([qid] * vc.num_rows, type=pa.string()),
-        }
-        for c in agg["cols"]:
-            out_cols[c] = vc[c].combine_chunks()
-        out_cols["doc_count"] = pc.cast(vc["count_all"], pa.int64())
-        return pa.table(out_cols)
-    if agg["kind"] == "script":
-        # scripted_metric partial [OpenSearch scripted_metric public
-        # semantics; init/map/combine == the user's map_fn, which runs
-        # once per segment over (docs, qualifying ords, scores) and
-        # returns its COMBINED partial — pickled so any Python value
-        # rides the Arrow fan-out; reduce happens on the driver]
-        import pickle
-        part = agg["map_fn"](docs, ords, scores)
-        return pa.table({
-            "query_id": pa.array([qid], type=pa.string()),
-            "partial": pa.array([pickle.dumps(part)], type=pa.binary()),
-        })
-    if agg["kind"] == "sample":
-        # sampler aggregation partial [OpenSearch sampler-agg public
-        # semantics]: the segment's best ``n`` match-set docs by the
-        # engine's global (raw score desc, key asc) order — ords arrive
-        # already sorted that way from the radial collector, so the
-        # partial is a head(n).  <= n rows ship per segment; the driver
-        # re-merges on the same order (the A1 leaf -> global argument).
-        sel = ords[:agg["n"]]
-        take = pa.array(sel)
-        out_cols: dict[str, Any] = {
-            "query_id": pa.array([qid] * len(sel), type=pa.string()),
-        }
-        for kc in agg["key_cols"]:
-            out_cols[kc] = docs[kc].take(take)
-        out_cols[agg["col"]] = docs[agg["col"]].take(take)
-        out_cols["score"] = pa.array(scores[:agg["n"]], type=pa.float64())
-        return pa.table(out_cols)
-    if agg["kind"] == "count":
-        # _count API partial [OpenSearch count public semantics]: the
-        # match-set size itself — no column gather, one int64 per
-        # (segment, query)
-        return pa.table({
-            "query_id": pa.array([qid], type=pa.string()),
-            "doc_count": pa.array([len(ords)], type=pa.int64()),
-        })
-    vals = docs[agg["col"]].take(pa.array(ords))
-    if agg["kind"] == "tdigest":
-        # approximate-percentiles partial [Dunning t-digest, k1 scale]:
-        # O(compression) centroids per segment regardless of value
-        # cardinality — the scale path next to the exact (value, count)
-        # percentile partials (functions/tdigest.py module docstring)
-        import pickle
 
-        from opensearch_jvector_ray.functions import tdigest as td
-        v = vals.to_numpy(zero_copy_only=False).astype(np.float64)
-        m, w = td.from_values(v, agg["compression"])
-        return pa.table({
-            "query_id": pa.array([qid], type=pa.string()),
-            "partial": pa.array([pickle.dumps((m, w))],
-                                type=pa.binary()),
-        })
-    if agg["kind"] == "mg_terms":
-        # approximate heavy-hitters partial [Misra-Gries, mergeable-
-        # summaries rule — functions/heavyhitters.py]: O(capacity)
-        # counters per segment regardless of field cardinality — the
-        # scale path next to the exact value-count facet partials
-        import pickle
+def _take(docs: pa.Table, cols: Sequence[str],
+          ords: np.ndarray) -> dict[str, Any]:
+    take = pa.array(ords)
+    return {c: docs[c].take(take) for c in cols}
 
-        from opensearch_jvector_ray.functions import heavyhitters as hh
-        v = vals.drop_null()
-        summ = hh.mg_from_values(
-            v.to_numpy(zero_copy_only=False), agg["capacity"])
-        return pa.table({
-            "query_id": pa.array([qid], type=pa.string()),
-            "partial": pa.array([pickle.dumps((summ, len(v)))],
-                                type=pa.binary()),
-        })
-    if agg["kind"] == "missing":
-        # missing aggregation partial [OpenSearch missing-agg public
-        # semantics]: count of qualifying docs whose field is absent.
-        # Absent = NULL, or '' for string columns — the engine's string
-        # sidecars store absent metadata as '' (e.g. transcripts `tool`
-        # on non-tool turns); the generated oracle shares the rule.
-        n_missing = vals.null_count
-        if pa.types.is_string(vals.type) or pa.types.is_large_string(vals.type):
-            eq = pc.sum(pc.equal(vals.drop_null(), "")).as_py()
-            n_missing += int(eq or 0)
-        return pa.table({
-            "query_id": pa.array([qid], type=pa.string()),
-            "doc_count": pa.array([int(n_missing)], type=pa.int64()),
-        })
-    if agg["kind"] == "value_count":
-        # value_count aggregation partial [OpenSearch value_count-agg
-        # public semantics]: count of match-set docs whose field is
-        # PRESENT — the exact complement of the missing kind's rule
-        # (absent = NULL, or '' for string sidecar columns).
-        n = len(ords) - vals.null_count
-        if pa.types.is_string(vals.type) or pa.types.is_large_string(vals.type):
-            eq = pc.sum(pc.equal(vals.drop_null(), "")).as_py()
-            n -= int(eq or 0)
-        return pa.table({
-            "query_id": pa.array([qid], type=pa.string()),
-            "doc_count": pa.array([int(n)], type=pa.int64()),
-        })
-    if agg["kind"] == "range":
-        v = vals.to_numpy(zero_copy_only=False).astype(np.float64)
-        keys, cnts = [], []
-        for rkey, lo, hi in agg["ranges"]:
-            m = np.ones(len(v), dtype=bool)
-            if lo is not None:
-                m &= v >= lo
-            if hi is not None:
-                m &= v < hi
+
+_CAL_UNITS = {"month": "M", "day": "D", "hour": "h"}
+
+
+def _cal_buckets(vals: pa.Array, interval: str) -> np.ndarray:
+    """Calendar bucket START per timestamp: exact integer datetime64
+    truncation to month/day/hour (the oracle's date_trunc)."""
+    v = vals.to_numpy(zero_copy_only=False).astype("datetime64[us]")
+    return v.astype(f"datetime64[{_CAL_UNITS[interval]}]") \
+        .astype("datetime64[us]")
+
+
+def _agg_top_hits(agg, docs, ords, scores):
+    # per-bucket top-n hit rows: ords/scores arrive already (score desc,
+    # key asc) sorted from the radial collector, so a stable cumcount
+    # within bucket is a per-bucket head(n)
+    bvals = docs[agg["col"]].take(pa.array(ords)) \
+        .to_numpy(zero_copy_only=False)
+    pos = pd.Series(np.zeros(len(ords), dtype=np.int64)) \
+        .groupby(bvals, sort=False).cumcount()
+    keep = (pos < agg["n"]).to_numpy()
+    return {**_take(docs, [agg["col"], *agg["key_cols"]], ords[keep]),
+            "score": scores[keep]}
+
+
+def _agg_top_metrics(agg, docs, ords, scores):
+    # [OpenSearch top_metrics-agg public semantics]: the metric column
+    # values of the best n docs by a stored SORT column ((sort dir, key
+    # asc) — the global rule; within a segment key-asc == key_rank, or
+    # ord for key-sorted build segments).  <= n rows ship per segment;
+    # the driver re-merges by the same order.
+    tie = (docs["key_rank"].to_numpy(zero_copy_only=False)
+           .astype(np.int64)
+           if "key_rank" in docs.column_names
+           else np.arange(docs.num_rows, dtype=np.int64))
+    sv = docs[agg["col"]].take(pa.array(ords)) \
+        .to_numpy(zero_copy_only=False)
+    if sv.dtype.kind == "M":
+        sv = sv.astype("datetime64[us]").astype(np.int64)
+    # integer sort cols stay EXACT int64 (a float64 cast would collapse
+    # values above 2^53 and drift from the driver's and the oracle's
+    # exact integer sorts); floats sort IEEE like SQL
+    if sv.dtype.kind != "f":
+        sv = sv.astype(np.int64)
+    order = np.lexsort((tie[ords], -sv if agg["desc"] else sv))
+    return _take(docs, [*agg["key_cols"], agg["col"], *agg["m_cols"]],
+                 ords[order[:agg["n"]]])
+
+
+def _agg_filters(agg, docs, ords, scores):
+    # [OpenSearch filters-agg / adjacency_matrix-agg public semantics]:
+    # per named filter the count of qualifying docs that ALSO pass it;
+    # with ``pairs`` also per filter PAIR the intersection count (key
+    # "a&b", names in sorted order).  Only nonzero cells ship — filters
+    # zero-fills the grid on the driver, adjacency omits empty buckets.
+    masks = agg["_masks"]        # precomputed once per segment
+    names = [k for k, _ in agg["filters"]]
+    sel = {k: masks[k][ords] for k in names}
+    keys, cnts = [], []
+    for i, a in enumerate(names):
+        cells = [(a, sel[a])]
+        if agg.get("pairs"):
+            cells += [(f"{a}&{b}", sel[a] & sel[b]) for b in names[i + 1:]]
+        for key, m in cells:
             c = int(m.sum())
             if c:
-                keys.append(rkey)
+                keys.append(key)
                 cnts.append(c)
-        return pa.table({
-            "query_id": pa.array([qid] * len(keys), type=pa.string()),
-            "range_key": pa.array(keys, type=pa.string()),
-            "doc_count": pa.array(cnts, type=pa.int64()),
-        })
-    if agg["kind"] == "val_bucket":
-        # cumulative_cardinality partial [OpenSearch
-        # cumulative_cardinality pipeline-agg public semantics, served
-        # EXACT]: per (field value, calendar bucket) doc counts —
-        # value-cardinality x bucket bounded rows ship; the driver
-        # derives the per-bucket doc counts (sum over values, nulls
-        # kept as their own key) AND each value's FIRST bucket (min
-        # across segments) from the same partial, so one fan-out feeds
-        # both the histogram and the running-distinct column.
-        import pandas as _pd
-        take = pa.array(ords)
-        unit = {"month": "M", "day": "D", "hour": "h"}[agg["interval"]]
-        tsv = docs[agg["col"]].take(take) \
-            .to_numpy(zero_copy_only=False).astype("datetime64[us]")
-        b = tsv.astype(f"datetime64[{unit}]").astype("datetime64[us]")
-        fv = docs[agg["val_col"]].take(take) \
-            .to_numpy(zero_copy_only=False)
-        g = (_pd.DataFrame({"v": fv, "b": b})
-             .groupby(["v", "b"], sort=False, dropna=False).size()
-             .rename("doc_count").reset_index())
-        return pa.table({
-            "query_id": pa.array([qid] * len(g), type=pa.string()),
-            agg["val_col"]: pa.Array.from_pandas(g["v"]),
-            "bucket": pa.array(g["b"].to_numpy(), type=pa.timestamp("us")),
-            "doc_count": pa.array(g["doc_count"].to_numpy(np.int64),
-                                  type=pa.int64()),
-        })
+    return {"filter_key": keys, "doc_count": cnts}
+
+
+def _agg_t_test(agg, docs, ords, scores):
+    # [OpenSearch t_test-agg public semantics, unpaired heteroscedastic
+    # (Welch) form]: the match set split by two NAMED structured filters
+    # a / b; per side an order-free integer (n, sum, sum-of-squares)
+    # triple in ONE row per segment (|v|^2 x doc_count < 2^63 assumed).
+    # Every float (means, sample variances, t) derives on the driver
+    # from a pinned op chain shared verbatim with the generated SQL.
+    masks = agg["_masks"]        # precomputed once per segment
+    v = _int_values(docs, agg["col"], ords)
+    out: dict[str, list] = {}
+    for side, (key, _) in zip("ab", agg["filters"]):
+        vs = v[masks[key][ords]]
+        out[f"n_{side}"] = [len(vs)]
+        out[f"sum_{side}"] = [int(vs.sum())]
+        out[f"sos_{side}"] = [int(np.dot(vs, vs))]
+    return out
+
+
+def _agg_string_stats(agg, docs, ords, scores):
+    # [OpenSearch string_stats-agg public semantics]: integer (count,
+    # min_len, max_len, len_sum) over the non-null values PLUS
+    # per-character counts (charset-bounded rows — the entropy
+    # combiner).  Lengths are codepoints (pc.utf8_length == SQL length()).
+    sv = docs[agg["col"]].take(pa.array(ords)).drop_null()
+    lens = pc.utf8_length(sv).to_numpy(zero_copy_only=False) \
+        .astype(np.int64)
+    if not len(lens):
+        return None
+    cu, cc = np.unique(np.frombuffer("".join(sv.to_pylist())
+                                     .encode("utf-32-le"), dtype=np.uint32),
+                       return_counts=True)
+    pad = [0] * len(cu)
+    # row 0 carries the scalar partial; char rows follow
+    return {"ch": [-1, *cu.tolist()], "ch_count": [0, *cc.tolist()],
+            "doc_count": [len(lens), *pad],
+            "len_sum": [int(lens.sum()), *pad],
+            "len_min": [int(lens.min()), *pad],
+            "len_max": [int(lens.max()), *pad]}
+
+
+def _agg_matrix(agg, docs, ords, scores):
+    # [OpenSearch matrix_stats-agg public semantics, two-field form]:
+    # the six int64 moments — order-free (|x*y| x doc_count < 2^63
+    # assumed); every float derives at the END from a pinned op chain
+    # shared with the generated SQL.
+    x = _int_values(docs, agg["col"], ords)
+    y = _int_values(docs, agg["col_y"], ords)
+    return {"doc_count": [len(x)], "x_sum": [int(x.sum())],
+            "y_sum": [int(y.sum())], "xx_sum": [int(np.dot(x, x))],
+            "yy_sum": [int(np.dot(y, y))], "xy_sum": [int(np.dot(x, y))]}
+
+
+def _agg_terms_stats(agg, docs, ords, scores):
+    # terms bucket + stats sub-aggregation: per bucket value, integer
+    # (count, sum, min, max) of the value column
+    b = docs[agg["col"]].take(pa.array(ords)).to_numpy(zero_copy_only=False)
+    v = _int_values(docs, agg["val_col"], ords)
+    g = (pd.DataFrame({"b": b, "v": v}).groupby("b", sort=False)["v"]
+         .agg(doc_count="count", v_sum="sum", v_min="min", v_max="max")
+         .reset_index())
+    return {agg["col"]: pa.array(g["b"]), "doc_count": g["doc_count"],
+            "v_sum": g["v_sum"], "v_min": g["v_min"], "v_max": g["v_max"]}
+
+
+def _agg_multi_terms(agg, docs, ords, scores):
+    # [OpenSearch multi_terms-agg public semantics]: value counts per
+    # COMPOSITE key; docs missing ANY key field are skipped (the
+    # terms-family rule), counted count_all (row count, never
+    # key-column-null-count).
+    sub = docs.select(agg["cols"]).take(pa.array(ords)).drop_null()
+    vc = sub.group_by(agg["cols"]).aggregate([([], "count_all")])
+    return {**{c: vc[c] for c in agg["cols"]}, "doc_count": vc["count_all"]}
+
+
+def _agg_script(agg, docs, ords, scores):
+    # scripted_metric: init/map/combine == the user's map_fn over (docs,
+    # qualifying ords, scores), its COMBINED partial pickled so any
+    # Python value rides the Arrow fan-out; reduce runs on the driver
+    import pickle
+    return {"partial": [pickle.dumps(agg["map_fn"](docs, ords, scores))]}
+
+
+def _agg_sample(agg, docs, ords, scores):
+    # [OpenSearch sampler-agg public semantics]: the segment's best n
+    # match-set docs by (raw score desc, key asc) — ords arrive sorted
+    # that way, so the partial is a head(n) the driver re-merges
+    return {**_take(docs, [*agg["key_cols"], agg["col"]], ords[:agg["n"]]),
+            "score": scores[:agg["n"]]}
+
+
+def _agg_count(agg, docs, ords, scores):
+    # _count / missing / value_count [OpenSearch public semantics]: the
+    # match-set size and how many of its docs have ``col`` PRESENT.
+    # Absent = NULL, or '' for string columns — the engine's string
+    # sidecars store absent metadata as '' (e.g. transcripts `tool` on
+    # non-tool turns); the generated oracles share the rule.  Without a
+    # ``col`` every doc counts as present.
+    present = len(ords)
+    if "col" in agg:
+        vals = docs[agg["col"]].take(pa.array(ords))
+        present -= vals.null_count
+        if pa.types.is_string(vals.type) or pa.types.is_large_string(vals.type):
+            present -= int(pc.sum(pc.equal(vals.drop_null(), "")).as_py()
+                           or 0)
+    return {"doc_count": [len(ords)], "n_present": [present]}
+
+
+def _agg_tdigest(agg, docs, ords, scores):
+    # approximate-percentiles partial [Dunning t-digest, k1 scale]:
+    # O(compression) centroids per segment regardless of value
+    # cardinality (functions/tdigest.py module docstring)
+    import pickle
+
+    from opensearch_jvector_ray.functions import tdigest as td
+    v = docs[agg["col"]].take(pa.array(ords)) \
+        .to_numpy(zero_copy_only=False).astype(np.float64)
+    return {"partial": [pickle.dumps(td.from_values(v, agg["compression"]))]}
+
+
+def _agg_mg_terms(agg, docs, ords, scores):
+    # approximate heavy-hitters partial [Misra-Gries, mergeable-summaries
+    # rule — functions/heavyhitters.py]: O(capacity) counters per segment
+    # regardless of field cardinality
+    import pickle
+
+    from opensearch_jvector_ray.functions import heavyhitters as hh
+    v = docs[agg["col"]].take(pa.array(ords)).drop_null()
+    summ = hh.mg_from_values(v.to_numpy(zero_copy_only=False),
+                             agg["capacity"])
+    return {"partial": [pickle.dumps((summ, len(v)))]}
+
+
+def _agg_range(agg, docs, ords, scores):
+    # counts per [lo, hi) caller-keyed range, zero rows elided — the
+    # driver zero-fills the query x range grid
+    v = docs[agg["col"]].take(pa.array(ords)) \
+        .to_numpy(zero_copy_only=False).astype(np.float64)
+    keys, cnts = [], []
+    for rkey, lo, hi in agg["ranges"]:
+        m = np.ones(len(v), dtype=bool)
+        if lo is not None:
+            m &= v >= lo
+        if hi is not None:
+            m &= v < hi
+        c = int(m.sum())
+        if c:
+            keys.append(rkey)
+            cnts.append(c)
+    return {"range_key": keys, "doc_count": cnts}
+
+
+def _agg_val_bucket(agg, docs, ords, scores):
+    # cumulative_cardinality [OpenSearch pipeline-agg public semantics,
+    # served EXACT]: per (field value, calendar bucket) doc counts; the
+    # driver derives the per-bucket counts (nulls kept as their own key)
+    # AND each value's FIRST bucket from the same partial
+    take = pa.array(ords)
+    b = _cal_buckets(docs[agg["col"]].take(take), agg["interval"])
+    fv = docs[agg["val_col"]].take(take).to_numpy(zero_copy_only=False)
+    g = (pd.DataFrame({"v": fv, "b": b})
+         .groupby(["v", "b"], sort=False, dropna=False).size()
+         .rename("doc_count").reset_index())
+    return {agg["val_col"]: pa.Array.from_pandas(g["v"]),
+            "bucket": g["b"].to_numpy(), "doc_count": g["doc_count"]}
+
+
+def _agg_hist(agg, docs, ords, scores):
+    # counts per bucket.  hist: floor(v/interval)*interval (exact for
+    # |v| < 2^53, mirrored by the oracle's DOUBLE floor); date_hist: the
+    # calendar bucket start
+    vals = docs[agg["col"]].take(pa.array(ords))
     if agg["kind"] == "date_hist":
-        unit = {"month": "M", "day": "D", "hour": "h"}[agg["interval"]]
-        v = vals.to_numpy(zero_copy_only=False).astype("datetime64[us]")
-        b = v.astype(f"datetime64[{unit}]").astype("datetime64[us]")
-        ub, cnt = np.unique(b, return_counts=True)
-        return pa.table({
-            "query_id": pa.array([qid] * len(ub), type=pa.string()),
-            "bucket": pa.array(ub, type=pa.timestamp("us")),
-            "doc_count": pa.array(cnt.astype(np.int64), type=pa.int64()),
-        })
-    if agg["kind"] == "parent_max":
-        # has_child partial: per-parent (max child score, child count,
-        # integer-micro child-score sum).  Scores are quantized to
-        # floor(score * 1e6) int64 BEFORE summation (the lm.py
-        # integer-micro trick) so ALL four join modes are order-free —
-        # the combine across segments is exact regardless of which
-        # segment a child lands in; only parent-sized rows ship (the A2
-        # combiner-first rule applied to the join)
-        import pandas as _pd
-        take = pa.array(ords)
-        par = docs[agg["col"]].take(take).to_numpy(zero_copy_only=False)
-        micro = np.floor(scores * 1e6).astype(np.int64)
-        g = (_pd.DataFrame({"p": par, "s": scores, "m": micro})
-             .groupby("p", sort=False)
-             .agg(v_max=("s", "max"), doc_count=("s", "count"),
-                  v_micro=("m", "sum")).reset_index())
-        return pa.table({
-            "query_id": pa.array([qid] * len(g), type=pa.string()),
-            agg["col"]: pa.array(g["p"]),
-            "v_max": pa.array(g["v_max"].to_numpy(np.float64),
-                              type=pa.float64()),
-            "doc_count": pa.array(g["doc_count"].to_numpy(np.int64),
-                                  type=pa.int64()),
-            "v_micro": pa.array(g["v_micro"].to_numpy(np.int64),
-                                type=pa.int64()),
-        })
-    if agg["kind"] == "hll":
-        # HyperLogLog partial [Flajolet et al. 2007 public algorithm;
-        # the OpenSearch cardinality-agg sketch shape]: per segment,
-        # registers = max leading-zero rank per bucket of the md5-64
-        # hash of each DISTINCT value.  The partial is <= 2^p rows of
-        # (reg, rho) — FIXED-size regardless of corpus, the true
-        # 100-TB combiner (the exact path's partials grow with the
-        # distinct count).  md5 keeps the sketch deterministic across
-        # runs and processes; hashing is per UNIQUE value (bounded).
-        import hashlib
-        p_bits = int(agg["precision"])
-        # drop nulls BEFORE hashing: the exact path (nunique) and the
-        # SQL oracle (count(DISTINCT ...)) both exclude NULL — the
-        # sketch must count the same distinct universe
-        uniq = pc.unique(vals.drop_null()).to_pylist()
-        regs: dict[int, int] = {}
-        low_bits = 64 - p_bits
-        low_mask = (1 << low_bits) - 1
-        for v in uniq:
-            h = int.from_bytes(
-                hashlib.md5(str(v).encode()).digest()[:8], "big")
-            idx = h >> low_bits
-            rem = h & low_mask
-            rho = low_bits - rem.bit_length() + 1
-            if regs.get(idx, 0) < rho:
-                regs[idx] = rho
-        items = sorted(regs.items())
-        return pa.table({
-            "query_id": pa.array([qid] * len(items), type=pa.string()),
-            "reg": pa.array([r for r, _ in items], type=pa.int64()),
-            "rho": pa.array([x for _, x in items], type=pa.int64()),
-        })
-    if agg["kind"] == "ext_stats":
-        # extended_stats partial [OpenSearch extended_stats-agg public
-        # semantics]: adds the integer sum-of-squares to the stats
-        # partial — still order-free integer arithmetic, one row per
-        # segment (int64 range assumed: |v|^2 x doc_count < 2^63,
-        # documented like the stats kind)
-        v = vals.to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table({
-            "query_id": pa.array([qid], type=pa.string()),
-            "doc_count": pa.array([len(v)], type=pa.int64()),
-            "v_sum": pa.array([int(v.sum())], type=pa.int64()),
-            "v_min": pa.array([int(v.min())], type=pa.int64()),
-            "v_max": pa.array([int(v.max())], type=pa.int64()),
-            "v_sos": pa.array([int(np.dot(v, v))], type=pa.int64()),
-        })
-    if agg["kind"] == "weighted":
-        # weighted_avg partial [OpenSearch weighted_avg-agg public
-        # semantics]: integer (sum(v*w), sum(w)) per segment; the ONE
-        # division happens once on the driver (int64 range assumed)
-        v = vals.to_numpy(zero_copy_only=False).astype(np.int64)
-        w = docs[agg["w_col"]].take(pa.array(ords)) \
-            .to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table({
-            "query_id": pa.array([qid], type=pa.string()),
-            "vw_sum": pa.array([int(np.dot(v, w))], type=pa.int64()),
-            "w_sum": pa.array([int(w.sum())], type=pa.int64()),
-        })
-    if agg["kind"] == "terms":
-        if agg.get("after") is not None:
-            # composite-agg pagination pushdown: buckets strictly after
-            # the resume key never leave the task (the search_after
-            # rule applied to bucket keys)
-            keep = pc.greater(vals, agg["after"])
-            vals = vals.filter(keep)
-        vc = (pa.table({"v": vals}).group_by("v")
-              .aggregate([("v", "count")]))
-        return pa.table({
-            "query_id": pa.array([qid] * vc.num_rows, type=pa.string()),
-            agg["col"]: vc["v"].combine_chunks(),
-            "doc_count": pc.cast(vc["v_count"], pa.int64()),
-        })
-    if agg["kind"] == "stats":
-        v = vals.to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table({
-            "query_id": pa.array([qid], type=pa.string()),
-            "doc_count": pa.array([len(v)], type=pa.int64()),
-            "v_sum": pa.array([int(v.sum())], type=pa.int64()),
-            "v_min": pa.array([int(v.min())], type=pa.int64()),
-            "v_max": pa.array([int(v.max())], type=pa.int64()),
-        })
-    v = vals.to_numpy(zero_copy_only=False).astype(np.float64)
-    b = (np.floor(v / float(agg["interval"]))
-         * float(agg["interval"])).astype(np.int64)
+        b = _cal_buckets(vals, agg["interval"])
+    else:
+        iv = float(agg["interval"])
+        b = (np.floor(vals.to_numpy(zero_copy_only=False)
+                      .astype(np.float64) / iv) * iv).astype(np.int64)
     ub, cnt = np.unique(b, return_counts=True)
-    return pa.table({
-        "query_id": pa.array([qid] * len(ub), type=pa.string()),
-        "bucket": pa.array(ub, type=pa.int64()),
-        "doc_count": pa.array(cnt.astype(np.int64), type=pa.int64()),
-    })
+    return {"bucket": ub, "doc_count": cnt}
+
+
+def _agg_parent_max(agg, docs, ords, scores):
+    # has_child: per-parent (max child score, child count, integer-micro
+    # child-score sum).  Scores are quantized to floor(score * 1e6)
+    # int64 BEFORE summation (the lm.py integer-micro trick) so all four
+    # join modes combine exactly across segments; only parent-sized rows
+    # ship (the A2 combiner-first rule applied to the join)
+    par = docs[agg["col"]].take(pa.array(ords)).to_numpy(zero_copy_only=False)
+    micro = np.floor(scores * 1e6).astype(np.int64)
+    g = (pd.DataFrame({"p": par, "s": scores, "m": micro})
+         .groupby("p", sort=False)
+         .agg(v_max=("s", "max"), doc_count=("s", "count"),
+              v_micro=("m", "sum")).reset_index())
+    return {agg["col"]: pa.array(g["p"]), "v_max": g["v_max"],
+            "doc_count": g["doc_count"], "v_micro": g["v_micro"]}
+
+
+def _agg_hll(agg, docs, ords, scores):
+    # HyperLogLog [Flajolet et al. 2007; the OpenSearch cardinality-agg
+    # sketch shape]: per register the max leading-zero rank of the md5-64
+    # hash of each DISTINCT value — <= 2^p rows regardless of corpus.
+    # md5 keeps the sketch deterministic across runs and processes.
+    import hashlib
+    p_bits = int(agg["precision"])
+    # drop nulls BEFORE hashing: the exact path (nunique) and the SQL
+    # oracle (count(DISTINCT ...)) both exclude NULL
+    uniq = pc.unique(docs[agg["col"]].take(pa.array(ords)).drop_null())
+    regs: dict[int, int] = {}
+    low_bits = 64 - p_bits
+    low_mask = (1 << low_bits) - 1
+    for v in uniq.to_pylist():
+        h = int.from_bytes(hashlib.md5(str(v).encode()).digest()[:8], "big")
+        idx = h >> low_bits
+        rho = low_bits - (h & low_mask).bit_length() + 1
+        if regs.get(idx, 0) < rho:
+            regs[idx] = rho
+    items = sorted(regs.items())
+    return {"reg": [r for r, _ in items], "rho": [x for _, x in items]}
+
+
+def _agg_ext_stats(agg, docs, ords, scores):
+    # (count, sum, min, max, sum-of-squares): order-free integer
+    # arithmetic, one row per segment (|v|^2 x doc_count < 2^63 assumed)
+    v = _int_values(docs, agg["col"], ords)
+    return {"doc_count": [len(v)], "v_sum": [int(v.sum())],
+            "v_min": [int(v.min())], "v_max": [int(v.max())],
+            "v_sos": [int(np.dot(v, v))]}
+
+
+def _agg_weighted(agg, docs, ords, scores):
+    # weighted_avg: integer (sum(v*w), sum(w)); the ONE division happens
+    # on the driver
+    v = _int_values(docs, agg["col"], ords)
+    w = _int_values(docs, agg["w_col"], ords)
+    return {"vw_sum": [int(np.dot(v, w))], "w_sum": [int(w.sum())]}
+
+
+def _agg_terms(agg, docs, ords, scores):
+    vals = docs[agg["col"]].take(pa.array(ords))
+    if agg.get("after") is not None:
+        # composite-agg pagination pushdown: buckets strictly after the
+        # resume key never leave the task (search_after on bucket keys)
+        vals = vals.filter(pc.greater(vals, agg["after"]))
+    vc = pa.table({"v": vals}).group_by("v").aggregate([("v", "count")])
+    return {agg["col"]: vc["v"], "doc_count": vc["v_count"]}
+
+
+class _AggKind(NamedTuple):
+    partial: Callable | None
+    cols: tuple
+    reads: tuple[str, ...] = ()
+
+
+_F64, _STR, _TS = pa.float64(), pa.string(), pa.timestamp("us")
+_PICKLED = (("partial", pa.binary()),)
+
+# One declaration per aggregation kind: its per-segment partial
+# function ``(agg, docs, ords, scores) -> {column: values} | None`` and
+# the partial's columns after ``query_id``.  A column is a name (int64),
+# a (name, type) pair, or ``"$key"``: the stored column(s) named by
+# ``agg[key]``, typed as stored.  ``reads`` names the agg keys of other
+# stored columns the partial reads.  Kinds:
+#   terms        value counts (facets, cardinality, the quantile family)
+#   count        match-set size + docs with ``col`` present (_count,
+#                missing, value_count)
+#   ext_stats    int count/sum/min/max/sum-of-squares (stats, ext_stats)
+#   hist         counts per floor(v/interval)*interval int64 bucket
+#   date_hist    counts per calendar (month/day/hour) bucket start
+#   range        counts per caller-keyed [lo, hi) range
+#   filters      counts per named filter (+ pairs: adjacency_matrix)
+#   top_hits     per-bucket head(n) hit rows (also diversified_sampler)
+#   sample       head(n) hit rows (sampler)
+#   top_metrics  best n rows by a stored sort column
+#   terms_stats  per-bucket int count/sum/min/max of a value column
+#   multi_terms  counts per composite key
+#   val_bucket   per (value, calendar bucket) counts
+#                (cumulative_cardinality)
+#   parent_max   per-parent max/count/micro-sum of child scores
+#                (has_child)
+#   hll          HyperLogLog registers (approximate cardinality)
+#   weighted     int sum(v*w), sum(w)
+#   t_test       per-side int n/sum/sum-of-squares
+#   matrix       the six int moments of two columns
+#   string_stats len count/sum/min/max + per-character counts
+#   script       pickled user map_fn partial (scripted_metric)
+#   tdigest      pickled t-digest centroids
+#   mg_terms     pickled Misra-Gries summary (approx_terms)
+#   sig_text     per-term match-set doc counts from one postings scan
+#                (``_sig_text_scan``; no per-query partial)
+# Only aggregate-sized rows leave the task (the combiner-first rule).
+_AGG_KINDS: dict[str, _AggKind] = {
+    "terms": _AggKind(_agg_terms, ("$col", "doc_count")),
+    "count": _AggKind(_agg_count, ("doc_count", "n_present"), ("col",)),
+    "ext_stats": _AggKind(_agg_ext_stats, ("doc_count", "v_sum", "v_min",
+                                           "v_max", "v_sos"), ("col",)),
+    "hist": _AggKind(_agg_hist, ("bucket", "doc_count"), ("col",)),
+    "date_hist": _AggKind(_agg_hist, (("bucket", _TS), "doc_count"),
+                          ("col",)),
+    "range": _AggKind(_agg_range, (("range_key", _STR), "doc_count"),
+                      ("col",)),
+    "filters": _AggKind(_agg_filters, (("filter_key", _STR), "doc_count")),
+    "top_hits": _AggKind(_agg_top_hits, ("$col", "$key_cols",
+                                         ("score", _F64))),
+    "sample": _AggKind(_agg_sample, ("$key_cols", "$col", ("score", _F64))),
+    "top_metrics": _AggKind(_agg_top_metrics, ("$key_cols", "$col",
+                                               "$m_cols")),
+    "terms_stats": _AggKind(_agg_terms_stats, ("$col", "doc_count", "v_sum",
+                                               "v_min", "v_max"),
+                            ("val_col",)),
+    "multi_terms": _AggKind(_agg_multi_terms, ("$cols", "doc_count")),
+    "val_bucket": _AggKind(_agg_val_bucket, ("$val_col", ("bucket", _TS),
+                                             "doc_count"), ("col",)),
+    "parent_max": _AggKind(_agg_parent_max, ("$col", ("v_max", _F64),
+                                             "doc_count", "v_micro")),
+    "hll": _AggKind(_agg_hll, ("reg", "rho"), ("col",)),
+    "weighted": _AggKind(_agg_weighted, ("vw_sum", "w_sum"),
+                         ("col", "w_col")),
+    "t_test": _AggKind(_agg_t_test, ("n_a", "sum_a", "sos_a", "n_b",
+                                     "sum_b", "sos_b"), ("col",)),
+    "matrix": _AggKind(_agg_matrix, ("doc_count", "x_sum", "y_sum",
+                                     "xx_sum", "yy_sum", "xy_sum"),
+                       ("col", "col_y")),
+    "string_stats": _AggKind(_agg_string_stats, ("ch", "ch_count",
+                                                 "doc_count", "len_sum",
+                                                 "len_min", "len_max"),
+                             ("col",)),
+    "script": _AggKind(_agg_script, _PICKLED),
+    "tdigest": _AggKind(_agg_tdigest, _PICKLED, ("col",)),
+    "mg_terms": _AggKind(_agg_mg_terms, _PICKLED, ("col",)),
+    "sig_text": _AggKind(None, (("term", _STR), "doc_count")),
+}
+
+
+def _agg_schema(agg: dict, docs_schema: pa.Schema) -> pa.Schema:
+    """The Arrow schema of ``agg``'s per-segment partial, built from its
+    kind's declaration; every stored column it names must exist."""
+    def stored(key: str) -> list[str]:
+        names = agg.get(key, ())
+        names = [names] if isinstance(names, str) else list(names)
+        for cn in names:
+            if cn not in docs_schema.names:
+                raise ValueError(f"agg column {cn!r} is not a stored doc "
+                                 f"column ({docs_schema.names})")
+        return names
+
+    decl = _AGG_KINDS[agg["kind"]]
+    for key in decl.reads:
+        stored(key)
+    fields: dict[str, pa.DataType] = {"query_id": pa.string()}
+    for c in decl.cols:
+        if isinstance(c, tuple):
+            fields[c[0]] = c[1]
+        elif c.startswith("$"):
+            for cn in stored(c[1:]):
+                fields.setdefault(cn, docs_schema.field(cn).type)
+        else:
+            fields[c] = pa.int64()
+    return pa.schema(list(fields.items()))
+
+
+def _agg_partial(agg: dict, schema: pa.Schema, docs: pa.Table,
+                 ords: np.ndarray, qid: str,
+                 scores: np.ndarray | None = None) -> pa.Table:
+    """One query's aggregation PARTIAL over one segment's qualifying doc
+    ordinals (kinds and columns: ``_AGG_KINDS``), as a ``schema`` table."""
+    cols = _AGG_KINDS[agg["kind"]].partial(agg, docs, ords, scores)
+    if cols is None:
+        return schema.empty_table()
+    n = len(next(iter(cols.values())))
+    return pa.table({"query_id": pa.repeat(pa.scalar(qid, pa.string()), n),
+                     **cols}, schema=schema)
 
 
 def _damerau_levenshtein_vec(cands: Sequence[str], q: str) -> np.ndarray:
@@ -893,6 +830,47 @@ def _qdisc(vals: np.ndarray, cnts: np.ndarray, q: float):
     cum = np.cumsum(cnts)
     t = max(1, _math.ceil(q * int(cum[-1])))
     return vals[int(np.searchsorted(cum, t))]
+
+
+def _query_value_counts(df: pd.DataFrame, col: str):
+    """Per query (ascending), the merged ascending (value -> count)
+    Series of the ``terms`` partials — the input of the exact quantile
+    family.  NULL values drop out; a query whose match set is all NULL
+    yields nothing (the oracles' HAVING count(col) > 0); timestamps
+    report their epoch int in the stored unit."""
+    if df.empty:
+        return
+    for qid, g in df.groupby("query_id", sort=True):
+        vc = g.groupby(col, sort=True)["doc_count"].sum()
+        if vc.empty or int(vc.sum()) == 0:
+            continue
+        if pd.api.types.is_datetime64_any_dtype(vc.index):
+            vc.index = vc.index.astype("int64")
+        yield qid, vc
+
+
+def _query_totals(queries: dict, df: pd.DataFrame, name: str,
+                  count) -> pd.DataFrame:
+    """One int64 total per query of the ``count`` partials, zero-filled
+    over the sorted query grid; ``count(df)`` picks the per-row number."""
+    base = pd.DataFrame({"query_id": sorted(queries)})
+    got = {} if df.empty else count(df).groupby(df["query_id"]).sum()
+    base[name] = base["query_id"].map(got).fillna(0).astype(np.int64)
+    return base
+
+
+def _key_grid_counts(queries: dict, df: pd.DataFrame, key_col: str,
+                     keys: list[str]) -> pd.DataFrame:
+    """Summed doc counts over the full (query, key) grid, zero-filled —
+    like OpenSearch, empty range/filter buckets still appear."""
+    grid = pd.MultiIndex.from_product([sorted(queries), keys],
+                                      names=["query_id", key_col])
+    if df.empty:
+        out = pd.Series(0, index=grid, dtype=np.int64, name="doc_count")
+    else:
+        out = (df.groupby(["query_id", key_col], sort=False)["doc_count"]
+                 .sum().reindex(grid, fill_value=0))
+    return out.reset_index()[["query_id", key_col, "doc_count"]]
 
 
 def _filters_masks(docs: pa.Table,
@@ -1303,6 +1281,34 @@ def _topk_from_scores(scores: np.ndarray, candidates: np.ndarray,
     return sel_ord[order], sel_sc[order]
 
 
+_PARQUET = ds.ParquetFileFormat()
+_LOCAL_FS = pafs.LocalFileSystem()
+
+
+def _read_decoded(path: str, terms: Sequence[str], codec: str,
+                  block_size: int, has_bn: bool | None = None
+                  ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Decoded (ords, tfs) of the ``terms`` present in one postings
+    file, reading only the columns the decode needs (never
+    ``pos_enc``).  Bulk-merged segments carry irregular block sizes
+    (``blk_n``) that the pfor decoder MUST consult — decoding a
+    bulk-merged pfor run without them silently corrupts ordinals;
+    ``has_bn=None`` detects the column from the file schema.  The file
+    is read as one fragment: no dataset discovery per call."""
+    frag = _PARQUET.make_fragment(path, filesystem=_LOCAL_FS)
+    if has_bn is None:
+        has_bn = "blk_n" in frag.physical_schema.names
+    cols = ["term", "df", "ords_enc", "tfs_enc"] + (["blk_n"] if has_bn else [])
+    tbl = frag.to_table(columns=cols, filter=pc.field("term").isin(
+        pa.array(list(terms), type=pa.string())))
+    c = {n: tbl[n].to_pylist() for n in cols}
+    return {t: decode_posting_list(
+                c["ords_enc"][i], c["tfs_enc"][i], codec=codec,
+                df=c["df"][i], block_size=block_size,
+                blk_n=c["blk_n"][i] if has_bn else None)
+            for i, t in enumerate(c["term"])}
+
+
 def _doc_arrays(docs: pa.Table) -> tuple[np.ndarray, np.ndarray | None]:
     """(doc lengths, tie-break ranks) of one segment's docs table.
     Bulk-merged segments carry segment-major ordinals + a key_rank
@@ -1365,73 +1371,9 @@ class SegmentSearcher:
 
     # -- helpers ---------------------------------------------------------
     def _empty(self) -> pa.Table:
+        if self.p.get("agg") is not None:
+            return self.p["agg_schema"].empty_table()
         cols: dict[str, pa.Array] = {"query_id": pa.array([], type=pa.string())}
-        agg = self.p.get("agg")
-        if agg is not None:
-            if agg["kind"] in ("filters", "adjacency"):
-                cols["filter_key"] = pa.array([], type=pa.string())
-                cols["doc_count"] = pa.array([], type=pa.int64())
-                return pa.table(cols)
-            if agg["kind"] == "string_stats":
-                for c in ("ch", "ch_count", "doc_count", "len_sum",
-                          "len_min", "len_max"):
-                    cols[c] = pa.array([], type=pa.int64())
-                return pa.table(cols)
-            if agg["kind"] == "matrix":
-                for c in ("doc_count", "x_sum", "y_sum", "xx_sum",
-                          "yy_sum", "xy_sum"):
-                    cols[c] = pa.array([], type=pa.int64())
-                return pa.table(cols)
-            if agg["kind"] == "t_test":
-                for c in ("n_a", "sum_a", "sos_a", "n_b", "sum_b",
-                          "sos_b"):
-                    cols[c] = pa.array([], type=pa.int64())
-                return pa.table(cols)
-            if agg["kind"] == "hll":
-                cols["reg"] = pa.array([], type=pa.int64())
-                cols["rho"] = pa.array([], type=pa.int64())
-                return pa.table(cols)
-            if agg["kind"] == "parent_max":
-                cols[agg["col"]] = pa.array([], type=self.p["agg_type"])
-                cols["v_max"] = pa.array([], type=pa.float64())
-                cols["doc_count"] = pa.array([], type=pa.int64())
-                cols["v_micro"] = pa.array([], type=pa.int64())
-                return pa.table(cols)
-            if agg["kind"] == "terms_stats":
-                cols[agg["col"]] = pa.array([], type=self.p["agg_type"])
-                for c in ("doc_count", "v_sum", "v_min", "v_max"):
-                    cols[c] = pa.array([], type=pa.int64())
-                return pa.table(cols)
-            if agg["kind"] == "multi_terms":
-                for c, t in self.p["agg_types"]:
-                    cols[c] = pa.array([], type=t)
-                cols["doc_count"] = pa.array([], type=pa.int64())
-                return pa.table(cols)
-            if agg["kind"] == "top_metrics":
-                for kc, kt in self.p["key_types"]:
-                    cols[kc] = pa.array([], type=kt)
-                for c, t in self.p["agg_types"]:
-                    cols[c] = pa.array([], type=t)
-                return pa.table(cols)
-            if agg["kind"] == "ext_stats":
-                for c in ("doc_count", "v_sum", "v_min", "v_max",
-                          "v_sos"):
-                    cols[c] = pa.array([], type=pa.int64())
-                return pa.table(cols)
-            if agg["kind"] == "weighted":
-                for c in ("vw_sum", "w_sum"):
-                    cols[c] = pa.array([], type=pa.int64())
-                return pa.table(cols)
-            if agg["kind"] == "terms":
-                cols[agg["col"]] = pa.array([], type=self.p["agg_type"])
-            elif agg["kind"] == "stats":
-                for c in ("doc_count", "v_sum", "v_min", "v_max"):
-                    cols[c] = pa.array([], type=pa.int64())
-                return pa.table(cols)
-            else:
-                cols["bucket"] = pa.array([], type=pa.int64())
-            cols["doc_count"] = pa.array([], type=pa.int64())
-            return pa.table(cols)
         for kc, kt in self.p["key_types"]:
             cols[kc] = pa.array([], type=kt)
         if self.p.get("sort") is not None:
@@ -1452,23 +1394,26 @@ class SegmentSearcher:
         """(rows, decoded) for the ``terms`` present in one segment:
         ``rows`` are the raw posting rows (column -> value), ``decoded``
         the (ords, tfs) arrays.  Modes outside ``_LAZY_DECODE_MODES``
-        find every present term in ``decoded``; the lazy modes find it
-        in ``rows`` (an up-front decode would make WAND's block skips
-        fictional)."""
-        postings = pq.read_table(os.path.join(seg_dir, POSTINGS_NAME),
-                                 filters=[("term", "in", list(terms))])
+        find every present term in ``decoded``, read without positions
+        (sqs also gets ``rows``: its phrase clauses read positions); the
+        lazy modes find it in ``rows`` (an up-front decode would make
+        WAND's block skips fictional)."""
+        path = os.path.join(seg_dir, POSTINGS_NAME)
+        codec = self.p.get("codec", "varint")
+        block_size = self.p.get("block_size", 128)
+        if mode not in _LAZY_DECODE_MODES and mode != "sqs":
+            return {}, _read_decoded(path, terms, codec, block_size)
+        postings = pq.read_table(path, filters=[("term", "in", list(terms))])
         rows: dict[str, dict] = {}
         for i in range(postings.num_rows):
             rows[postings["term"][i].as_py()] = {
                 c: postings[c][i].as_py() for c in postings.column_names}
         decoded: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        if mode not in _LAZY_DECODE_MODES:
+        if mode == "sqs":         # phrase clauses read positions too
             for t, r in rows.items():
                 decoded[t] = decode_posting_list(
-                    r["ords_enc"], r["tfs_enc"],
-                    codec=self.p.get("codec", "varint"),
-                    df=r["df"], block_size=self.p.get("block_size", 128),
-                    blk_n=r.get("blk_n"))
+                    r["ords_enc"], r["tfs_enc"], codec=codec, df=r["df"],
+                    block_size=block_size, blk_n=r.get("blk_n"))
         return rows, decoded
 
     def _search_segment(self, seg_dir: str) -> pa.Table | None:
@@ -1505,8 +1450,7 @@ class SegmentSearcher:
         out_ord: list[np.ndarray] = []
         out_sc: list[np.ndarray] = []
         agg = p.get("agg")
-        if agg is not None and agg["kind"] in ("filters", "adjacency",
-                                               "t_test"):
+        if agg is not None and "filters" in agg:
             # masks are query-independent: compute once per segment
             agg = {**agg, "_masks": _filters_masks(docs, agg["filters"])}
         ftables: list[pa.Table] = []
@@ -1759,8 +1703,8 @@ class SegmentSearcher:
                     sig_sets[q["query_id"]] = ords
                     continue
                 if len(ords):
-                    ftables.append(_agg_partial(agg, docs, ords,
-                                                q["query_id"],
+                    ftables.append(_agg_partial(agg, p["agg_schema"], docs,
+                                                ords, q["query_id"],
                                                 scores=scores))
                 continue
             out_qid.extend([q["query_id"]] * len(ords))
@@ -1921,7 +1865,8 @@ class SegmentSearcher:
                           n_docs: int) -> pa.Table | None:
         return _sig_text_scan(seg_dir, sig_sets, n_docs,
                               self.p.get("codec", "varint"),
-                              self.p.get("block_size", 128))
+                              self.p.get("block_size", 128),
+                              self.p["agg_schema"])
 
     def _span_ordered(self, terms, rows, dl, mask, k, slop, tie=None):
         """In-order proximity scoring [Lucene SpanNearQuery
@@ -3517,7 +3462,8 @@ class IndexSearcher:
         free (one row per segment reaches the driver); the single avg
         division happens once at the end, so the float is bit-equal to
         the oracle's.  int64 range assumed (documented)."""
-        df = self._agg_fanout(queries, {"kind": "stats", "col": value_col},
+        df = self._agg_fanout(queries, {"kind": "ext_stats",
+                                        "col": value_col},
                               min_score, term_weights, concurrency)
         cols = ["query_id", "doc_count", "v_sum", "v_min", "v_max", "v_avg"]
         if df.empty:
@@ -3577,16 +3523,8 @@ class IndexSearcher:
         df = self._agg_fanout(queries, {"kind": "range", "col": value_col,
                                         "ranges": rr},
                               min_score, term_weights, concurrency)
-        cols = ["query_id", "range_key", "doc_count"]
-        grid = pd.MultiIndex.from_product(
-            [sorted(queries), [rk for rk, _, _ in rr]],
-            names=["query_id", "range_key"])
-        if df.empty:
-            out = pd.Series(0, index=grid, dtype=np.int64, name="doc_count")
-        else:
-            out = (df.groupby(["query_id", "range_key"], sort=False)
-                     ["doc_count"].sum().reindex(grid, fill_value=0))
-        return out.reset_index()[cols]
+        return _key_grid_counts(queries, df, "range_key",
+                                [rk for rk, _, _ in rr])
 
     def date_histogram_agg(self, queries: dict[str, str], ts_col: str,
                            calendar_interval: str, min_score: float,
@@ -3944,17 +3882,7 @@ class IndexSearcher:
         if df.empty:
             return pd.DataFrame(columns=cols)
         rows = []
-        for qid, g in df.groupby("query_id", sort=True):
-            vc = (g.groupby(value_col, sort=True)["doc_count"].sum())
-            if vc.empty or int(vc.sum()) == 0:
-                # all-NULL match set: the terms partial ships a
-                # (qid, null, 0) row whose NaN key the groupby drops —
-                # quantiles undefined, emit no rows (the sibling aggs'
-                # HAVING count(col) > 0 rule)
-                continue
-            if pd.api.types.is_datetime64_any_dtype(vc.index):
-                # ts columns report their epoch int in the stored unit
-                vc.index = vc.index.astype("int64")
+        for qid, vc in _query_value_counts(df, value_col):
             cum = vc.cumsum()
             total = int(cum.iloc[-1])
             for q in ps:
@@ -3988,14 +3916,7 @@ class IndexSearcher:
         if df.empty:
             return pd.DataFrame(columns=cols)
         rows = []
-        for qid, g in df.groupby("query_id", sort=True):
-            vc = g.groupby(value_col, sort=True)["doc_count"].sum()
-            if not len(vc):
-                # whole match set NULL-valued: no row on either side
-                # (the oracle's HAVING count(col) > 0 rule)
-                continue
-            if pd.api.types.is_datetime64_any_dtype(vc.index):
-                vc.index = vc.index.astype("int64")
+        for qid, vc in _query_value_counts(df, value_col):
             vals_sorted = vc.index.to_numpy(dtype=np.float64)
             cum = vc.cumsum().to_numpy(dtype=np.int64)
             total = int(cum[-1])
@@ -4025,12 +3946,7 @@ class IndexSearcher:
         if df.empty:
             return pd.DataFrame(columns=cols)
         rows = []
-        for qid, g in df.groupby("query_id", sort=True):
-            vc = g.groupby(value_col, sort=True)["doc_count"].sum()
-            if not len(vc):
-                continue
-            if pd.api.types.is_datetime64_any_dtype(vc.index):
-                vc.index = vc.index.astype("int64")
+        for qid, vc in _query_value_counts(df, value_col):
             vals = vc.index.to_numpy(dtype=np.int64)
             cnts = vc.to_numpy(dtype=np.int64)
             m = _qdisc(vals, cnts, 0.5)
@@ -4058,12 +3974,7 @@ class IndexSearcher:
         if df.empty:
             return pd.DataFrame(columns=cols)
         rows = []
-        for qid, g in df.groupby("query_id", sort=True):
-            vc = g.groupby(value_col, sort=True)["doc_count"].sum()
-            if not len(vc):
-                continue
-            if pd.api.types.is_datetime64_any_dtype(vc.index):
-                vc.index = vc.index.astype("int64")
+        for qid, vc in _query_value_counts(df, value_col):
             vals = vc.index.to_numpy(dtype=np.int64)
             cnts = vc.to_numpy(dtype=np.int64)
             rows.append((qid, float(vals[0]),
@@ -4162,16 +4073,10 @@ class IndexSearcher:
         the generated oracle shares.  One int64 row per segment ships
         (combiner-first); the query grid is emitted zero-filled like
         OpenSearch's always-present missing bucket."""
-        df = self._agg_fanout(queries, {"kind": "missing", "col": field},
+        df = self._agg_fanout(queries, {"kind": "count", "col": field},
                               min_score, None, concurrency)
-        base = pd.DataFrame({"query_id": sorted(queries)})
-        if df.empty:
-            base["doc_count"] = np.int64(0)
-            return base
-        got = df.groupby("query_id")["doc_count"].sum()
-        base["doc_count"] = base["query_id"].map(got).fillna(0) \
-            .astype(np.int64)
-        return base
+        return _query_totals(queries, df, "doc_count",
+                             lambda d: d["doc_count"] - d["n_present"])
 
     def variable_width_histogram_agg(self, queries: dict[str, str],
                                      value_col: str, buckets: int,
@@ -4199,12 +4104,7 @@ class IndexSearcher:
         if df.empty:
             return pd.DataFrame(columns=cols)
         rows = []
-        for qid, g in df.groupby("query_id", sort=True):
-            vc = g.groupby(value_col, sort=True)["doc_count"].sum()
-            if not len(vc):
-                continue
-            if pd.api.types.is_datetime64_any_dtype(vc.index):
-                vc.index = vc.index.astype("int64")
+        for qid, vc in _query_value_counts(df, value_col):
             vals = vc.index.to_numpy(dtype=np.int64)
             cnts = vc.to_numpy(dtype=np.int64)
             m = len(vals)
@@ -4234,17 +4134,10 @@ class IndexSearcher:
         missing_agg's rule (absent = NULL, or '' for string sidecar
         columns).  One int64 row per segment ships (combiner-first);
         the query grid is emitted zero-filled."""
-        df = self._agg_fanout(queries,
-                              {"kind": "value_count", "col": field},
+        df = self._agg_fanout(queries, {"kind": "count", "col": field},
                               min_score, None, concurrency)
-        base = pd.DataFrame({"query_id": sorted(queries)})
-        if df.empty:
-            base["value_count"] = np.int64(0)
-            return base
-        got = df.groupby("query_id")["doc_count"].sum()
-        base["value_count"] = base["query_id"].map(got).fillna(0) \
-            .astype(np.int64)
-        return base
+        return _query_totals(queries, df, "value_count",
+                             lambda d: d["n_present"])
 
     def tdigest_percentiles_agg(self, queries: dict[str, str],
                                 value_col: str,
@@ -4332,14 +4225,8 @@ class IndexSearcher:
         grid is emitted zero-filled."""
         df = self._agg_fanout(queries, {"kind": "count"},
                               float(min_score), None, None)
-        base = pd.DataFrame({"query_id": sorted(queries)})
-        if df.empty:
-            base["doc_count"] = np.int64(0)
-            return base
-        got = df.groupby("query_id")["doc_count"].sum()
-        base["doc_count"] = base["query_id"].map(got).fillna(0) \
-            .astype(np.int64)
-        return base
+        return _query_totals(queries, df, "doc_count",
+                             lambda d: d["doc_count"])
 
     def global_stats_agg(self, value_col: str) -> pd.DataFrame:
         """Global aggregation [OpenSearch global-agg public semantics]
@@ -4614,13 +4501,10 @@ class IndexSearcher:
             raise ValueError("shard_size must be >= 1")
         if field == div_field:
             raise ValueError("field and div_field must differ")
-        # "cols" rides along only for the driver-side schema validation
-        # of the terms field (the partial ships it via key_cols)
         df = self._agg_fanout(queries,
                               {"kind": "top_hits", "col": div_field,
                                "n": int(max_docs_per_value),
-                               "key_cols": [*self.key_cols, field],
-                               "cols": (field,)},
+                               "key_cols": [*self.key_cols, field]},
                               min_score, None, concurrency)
         cols = ["query_id", field, "doc_count"]
         if df.empty:
@@ -4782,17 +4666,8 @@ class IndexSearcher:
         fl = sorted(filters.items())
         df = self._agg_fanout(queries, {"kind": "filters", "filters": fl},
                               min_score, None, concurrency)
-        cols = ["query_id", "filter_key", "doc_count"]
-        grid = pd.MultiIndex.from_product(
-            [sorted(queries), [k for k, _ in fl]],
-            names=["query_id", "filter_key"])
-        if df.empty:
-            out = pd.Series(0, index=grid, dtype=np.int64,
-                            name="doc_count")
-        else:
-            out = (df.groupby(["query_id", "filter_key"], sort=False)
-                     ["doc_count"].sum().reindex(grid, fill_value=0))
-        return out.reset_index()[cols]
+        return _key_grid_counts(queries, df, "filter_key",
+                                [k for k, _ in fl])
 
     def terms_stats_agg(self, queries: dict[str, str], group_col: str,
                         value_col: str, min_score: float,
@@ -4953,8 +4828,7 @@ class IndexSearcher:
             {"kind": "top_metrics", "col": sort_col,
              "m_cols": list(metric_cols), "n": int(size),
              "desc": sort_order == "desc",
-             "key_cols": list(self.key_cols),
-             "cols": [sort_col, *metric_cols]},
+             "key_cols": list(self.key_cols)},
             min_score, None, concurrency)
         cols = ["query_id", "rank", *self.key_cols, sort_col,
                 *metric_cols]
@@ -4990,7 +4864,8 @@ class IndexSearcher:
             compile_filter(spec)      # driver-side validation
         fl = sorted(filters.items())
         df = self._agg_fanout(queries,
-                              {"kind": "adjacency", "filters": fl},
+                              {"kind": "filters", "filters": fl,
+                               "pairs": True},
                               min_score, None, concurrency)
         cols = ["query_id", "filter_key", "doc_count"]
         if df.empty:
@@ -5102,17 +4977,8 @@ class IndexSearcher:
         df = self._agg_fanout(queries, {"kind": "range", "col": ts_col,
                                         "ranges": rr},
                               min_score, None, concurrency)
-        cols = ["query_id", "range_key", "doc_count"]
-        grid = pd.MultiIndex.from_product(
-            [sorted(queries), [rk for rk, _, _ in rr]],
-            names=["query_id", "range_key"])
-        if df.empty:
-            out = pd.Series(0, index=grid, dtype=np.int64,
-                            name="doc_count")
-        else:
-            out = (df.groupby(["query_id", "range_key"], sort=False)
-                     ["doc_count"].sum().reindex(grid, fill_value=0))
-        return out.reset_index()[cols]
+        return _key_grid_counts(queries, df, "range_key",
+                                [rk for rk, _, _ in rr])
 
     def bucket_metric_agg(self, queries: dict[str, str], ts_col: str,
                           calendar_interval: str, metric: str,
@@ -5232,19 +5098,13 @@ class IndexSearcher:
                     concurrency: int | None) -> pd.DataFrame:
         """Shared aggregation fan-out: one task per segment computes the
         radial match set and reduces it to an aggregate PARTIAL (see
-        ``_agg_partial``); the driver merges aggregate-sized frames
+        ``_AGG_KINDS``); the driver merges aggregate-sized frames
         only."""
         if not self.seg_dirs:
             return pd.DataFrame()
         docs_schema = pq.read_schema(
             os.path.join(self.seg_dirs[0], DOCS_NAME))
-        named = [agg[ck] for ck in ("col", "val_col", "w_col", "col_y")
-                 if ck in agg]
-        named += list(agg.get("cols", ()))
-        for cn in named:
-            if cn not in docs_schema.names:
-                raise ValueError(f"agg column {cn!r} is not a "
-                                 f"stored doc column ({docs_schema.names})")
+        agg_schema = _agg_schema(agg, docs_schema)
         prepared, union = self._prepare(queries, self.cfg.default_k,
                                         term_weights=term_weights)
         payload = {
@@ -5257,11 +5117,7 @@ class IndexSearcher:
                           for kc in self.key_cols],
             "first_pass_k": self.cfg.first_pass_k,
             "min_score": float(min_score),
-            "agg": agg,
-            "agg_type": (docs_schema.field(agg["col"]).type
-                         if "col" in agg else None),
-            "agg_types": [(c, docs_schema.field(c).type)
-                          for c in agg.get("cols", ())],
+            "agg": agg, "agg_schema": agg_schema,
         }
         if not union:
             return pd.DataFrame()

@@ -34,10 +34,9 @@ import pyarrow.parquet as pq
 import ray
 
 from opensearch_jvector_ray.config import EngineConfig
-from opensearch_jvector_ray.postings import decode_posting_list
 from opensearch_jvector_ray.query import (
     _LAZY_DECODE_MODES, IndexSearcher, SegmentSearcher, _doc_arrays,
-    _sparse_term_weights,
+    _read_decoded, _sparse_term_weights,
 )
 from opensearch_jvector_ray.state.manifest import (
     CONFIG_NAME, DOCS_NAME, POSTINGS_NAME, SEGMENTS_DIR, STATS_NAME, read_json,
@@ -115,32 +114,13 @@ class SegmentShardActor:
                 missing.append(t)
         if missing:
             self.misses += len(missing)
-            path = os.path.join(seg_dir, POSTINGS_NAME)
-            cols = ["term", "df", "ords_enc", "tfs_enc"]
-            # bulk-merged segments carry irregular block sizes (blk_n);
-            # the pfor decoder MUST consult them (the NOTES invariant —
-            # decoding a bulk-merged pfor run without blk_n silently
-            # corrupts ordinals)
-            has_bn = self.segs[seg_dir]["has_bn"]
-            if has_bn:
-                cols.append("blk_n")
-            tbl = pq.read_table(path, filters=[("term", "in", missing)],
-                                columns=cols)
-            found = set()
-            for i in range(tbl.num_rows):
-                t = tbl["term"][i].as_py()
-                ords, tfs = decode_posting_list(
-                    tbl["ords_enc"][i].as_py(), tbl["tfs_enc"][i].as_py(),
-                    codec=self.cfg.codec, df=tbl["df"][i].as_py(),
-                    block_size=self.cfg.block_size,
-                    blk_n=(tbl["blk_n"][i].as_py() if has_bn else None))
-                entry = (ords, tfs)
-                self.term_cache[(seg_dir, t)] = entry
-                out[t] = entry
-                found.add(t)
-            for t in missing:           # negative caching for absent terms
-                if t not in found:
-                    self.term_cache[(seg_dir, t)] = None
+            got = _read_decoded(
+                os.path.join(seg_dir, POSTINGS_NAME), missing,
+                self.cfg.codec, self.cfg.block_size,
+                has_bn=self.segs[seg_dir]["has_bn"])
+            for t in missing:        # None negative-caches an absent term
+                self.term_cache[(seg_dir, t)] = got.get(t)
+            out.update(got)
             while len(self.term_cache) > self.term_cache_size:
                 self.term_cache.popitem(last=False)
         return {t: v for t, v in out.items() if v is not None}

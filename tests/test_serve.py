@@ -120,6 +120,18 @@ def test_warm_cold_parity_on_bulk_merged_index(merged):
         same(a.top_hits_agg(QUERIES, group_col="role", n=2, min_score=ms),
              cold.top_hits_agg(QUERIES, group_col="role", n=2,
                                min_score=ms))
+        same(a.count(QUERIES), cold.count(QUERIES))
+        for fn, kw in (("missing_agg", dict(field="tool")),
+                       ("value_count_agg", dict(field="tool")),
+                       ("stats_agg", dict(value_col="turn_idx")),
+                       ("extended_stats_agg", dict(value_col="turn_idx")),
+                       ("histogram_agg", dict(value_col="turn_idx",
+                                              interval=3)),
+                       ("date_histogram_agg", dict(ts_col="ts",
+                                                   calendar_interval="hour")),
+                       ("adjacency_matrix_agg", dict(filters=flt))):
+            same(getattr(a, fn)(QUERIES, min_score=ms, **kw),
+                 getattr(cold, fn)(QUERIES, min_score=ms, **kw))
     finally:
         svc.shutdown()
 
