@@ -48,7 +48,7 @@ from opensearch_jvector_ray.functions.scoring import (
     bm25_idf, bm25_tf_part, quantize_doc_len,
 )
 from opensearch_jvector_ray.postings import (
-    decode_posting_list, varint_decode,
+    decode_posting_list, decode_positions, varint_decode,
 )
 from opensearch_jvector_ray.state.manifest import (
     CONFIG_NAME, DOCS_NAME, POSTINGS_NAME, SEGMENTS_DIR, STATS_NAME, read_json,
@@ -1285,28 +1285,50 @@ _PARQUET = ds.ParquetFileFormat()
 _LOCAL_FS = pafs.LocalFileSystem()
 
 
+def _read_rows(path: str, terms: Sequence[str], codec: str, block_size: int,
+               extra: Sequence[str] = (), has_bn: bool | None = None
+               ) -> list[tuple]:
+    """(term, (ords, tfs), *``extra`` column values) of every ``terms``
+    row of one postings file.  Bulk-merged segments carry irregular
+    block sizes (``blk_n``) that the pfor decoder MUST consult —
+    decoding a bulk-merged pfor run without them silently corrupts
+    ordinals; ``has_bn=None`` detects the column from the file schema.
+    The file is read as one fragment: no dataset discovery per call."""
+    frag = _PARQUET.make_fragment(path, filesystem=_LOCAL_FS)
+    if has_bn is None:
+        has_bn = "blk_n" in frag.physical_schema.names
+    cols = ["term", "df", "ords_enc", "tfs_enc", *extra] + (
+        ["blk_n"] if has_bn else [])
+    tbl = frag.to_table(columns=cols, filter=pc.field("term").isin(
+        pa.array(list(terms), type=pa.string())))
+    c = {n: tbl[n].to_pylist() for n in cols}
+    bn = c["blk_n"] if has_bn else [None] * tbl.num_rows
+    return [(t, decode_posting_list(c["ords_enc"][i], c["tfs_enc"][i],
+                                    codec=codec, df=c["df"][i],
+                                    block_size=block_size, blk_n=bn[i]),
+             *(c[x][i] for x in extra))
+            for i, t in enumerate(c["term"])]
+
+
 def _read_decoded(path: str, terms: Sequence[str], codec: str,
                   block_size: int, has_bn: bool | None = None
                   ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Decoded (ords, tfs) of the ``terms`` present in one postings
     file, reading only the columns the decode needs (never
-    ``pos_enc``).  Bulk-merged segments carry irregular block sizes
-    (``blk_n``) that the pfor decoder MUST consult — decoding a
-    bulk-merged pfor run without them silently corrupts ordinals;
-    ``has_bn=None`` detects the column from the file schema.  The file
-    is read as one fragment: no dataset discovery per call."""
-    frag = _PARQUET.make_fragment(path, filesystem=_LOCAL_FS)
-    if has_bn is None:
-        has_bn = "blk_n" in frag.physical_schema.names
-    cols = ["term", "df", "ords_enc", "tfs_enc"] + (["blk_n"] if has_bn else [])
-    tbl = frag.to_table(columns=cols, filter=pc.field("term").isin(
-        pa.array(list(terms), type=pa.string())))
-    c = {n: tbl[n].to_pylist() for n in cols}
-    return {t: decode_posting_list(
-                c["ords_enc"][i], c["tfs_enc"][i], codec=codec,
-                df=c["df"][i], block_size=block_size,
-                blk_n=c["blk_n"][i] if has_bn else None)
-            for i, t in enumerate(c["term"])}
+    ``pos_enc``)."""
+    return dict(_read_rows(path, terms, codec, block_size, has_bn=has_bn))
+
+
+def _read_positions(path: str, terms: Sequence[str], codec: str,
+                    block_size: int
+                    ) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(ords, flat positions, offsets) of the ``terms`` present in one
+    postings file: posting i's positions (PRE-stopword axis, ascending)
+    are ``flat[offsets[i]:offsets[i + 1]]``.  The one positions decode
+    of the phrase/span family, sqs and the highlight fetch."""
+    return {t: (ords, *decode_positions(pe, tfs))
+            for t, (ords, tfs), pe in _read_rows(path, terms, codec,
+                                                 block_size, ("pos_enc",))}
 
 
 def _doc_arrays(docs: pa.Table) -> tuple[np.ndarray, np.ndarray | None]:
@@ -1320,15 +1342,6 @@ def _doc_arrays(docs: pa.Table) -> tuple[np.ndarray, np.ndarray | None]:
     return dl, tie
 
 
-# modes whose scorers decode from the raw posting rows themselves: the
-# phrase/span family reads positions, WAND decodes block by block.  Every
-# other mode gets each posting list decoded in full up front.
-_LAZY_DECODE_MODES = frozenset({
-    "phrase_prefix", "phrase", "span", "span_or", "span_not",
-    "span_within", "span_containing", "span_ordered", "span_first",
-    "wand"})
-
-
 def _sparse_term_weights(queries: "dict[str, list[tuple[str, float]]]"
                          ) -> dict[str, list[tuple[str, float]]]:
     """sparse_vector (token, weight) lists as token-sorted float pairs —
@@ -1340,6 +1353,143 @@ def _sparse_term_weights(queries: "dict[str, list[tuple[str, float]]]"
             raise ValueError("sparse_vector weights must be > 0")
         norm[qid] = pairs
     return norm
+
+
+# -- the position layer of the phrase/span family ------------------------
+# A slot is one (ords, flat positions, offsets) triple: a term's postings
+# as ``_read_positions`` returns them, or the union of several terms'
+# (``_union_slot``).  Each kernel turns its query into slots, runs one
+# combine rule over the docs holding every slot (the ordered chain or
+# the window cover) and scores the resulting (doc, tf) pairs.
+
+_NO_HITS = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64))
+
+
+def _slots(names, post: dict) -> list | None:
+    """The slots of ``names`` in order; None when one is absent from
+    the segment (no doc can match)."""
+    if any(t not in post for t in names):
+        return None
+    return [post[t] for t in names]
+
+
+def _union_slot(slots: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One slot whose positions in each doc are the union of ``slots``'
+    positions there (a span_or clause; phrase_prefix's last slot)."""
+    if len(slots) == 1:
+        return slots[0]
+    po = np.concatenate([np.repeat(o, np.diff(offs)) for o, _, offs in slots])
+    pp = np.concatenate([flat for _, flat, _ in slots])
+    order = np.lexsort((pp, po))
+    po, pp = po[order], pp[order]
+    # dedupe identical (doc, pos) pairs (two terms never share a
+    # position in reality, but stay exact anyway)
+    keep = np.concatenate(([True], (po[1:] != po[:-1]) | (pp[1:] != pp[:-1])))
+    po, pp = po[keep], pp[keep]
+    uords, counts = np.unique(po, return_counts=True)
+    return (uords.astype(np.int64), pp,
+            np.concatenate(([0], np.cumsum(counts))).astype(np.int64))
+
+
+def _slot_docs(slots: list, mask: np.ndarray | None) -> np.ndarray:
+    """The docs (ascending ordinals) holding every slot, filter applied."""
+    common = slots[0][0]
+    for ords, _, _ in slots[1:]:
+        common = common[np.isin(common, ords, assume_unique=True)]
+    if mask is not None and len(common):
+        common = common[mask[common]]
+    return common
+
+
+def _doc_axis(slots: list, common: np.ndarray, pad: int
+              ) -> tuple[list[np.ndarray], np.ndarray, int]:
+    """Lay the ``common`` docs end to end on one position axis: each doc
+    gets (its largest position in any slot) + ``pad`` cells, so a window
+    or zone reaching ``pad - 1`` cells past a position never crosses
+    into the next doc.  Returns (each slot's row index of every common
+    doc, each doc's base cell, the axis length)."""
+    idxs = [np.searchsorted(ords, common) for ords, _, _ in slots]
+    last = np.stack([flat[offs[ix + 1] - 1]
+                     for (_, flat, offs), ix in zip(slots, idxs)])
+    size = last.max(axis=0).astype(np.int64) + pad
+    base = np.concatenate(([0], np.cumsum(size)[:-1]))
+    return idxs, base, int(size.sum())
+
+
+def _gather(slot, ix: np.ndarray, base: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Ragged gather of the positions of the docs at rows ``ix`` of
+    ``slot`` onto the concatenated axis: (axis cell of every position,
+    its doc's index into ``ix``), docs in ``ix`` order."""
+    _, flat, offs = slot
+    lens = offs[ix + 1] - offs[ix]
+    docslot = np.repeat(np.arange(len(ix)), lens)
+    shift = offs[ix] - (np.cumsum(lens) - lens)
+    return base[docslot] + flat[np.arange(len(docslot)) + shift[docslot]], docslot
+
+
+def _cover(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
+    """The cells of an ``n``-cell axis inside at least one [lo, hi)
+    interval: one diff-array scatter and one cumsum."""
+    d = np.zeros(n + 1, dtype=np.int32)
+    np.add.at(d, lo, 1)
+    np.add.at(d, hi, -1)
+    return np.cumsum(d[:-1]) > 0
+
+
+def _window_cells(slots: list, idxs: list, base: np.ndarray, n: int,
+                  W: int) -> np.ndarray:
+    """Window-cover core: the axis cells s whose width-W window
+    [s-W+1, s] holds >= 1 position of every slot."""
+    acc = None
+    for slot, ix in zip(slots, idxs):
+        g, _ = _gather(slot, ix, base)
+        b = _cover(g, g + W, n)
+        acc = b if acc is None else acc & b
+    return acc
+
+
+def _window_tf(slots: list, W: int, mask: np.ndarray | None
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """(docs, tf) of the window-cover rule: tf = the valid window cells
+    of the doc (``_window_cells``)."""
+    common = _slot_docs(slots, mask)
+    if not len(common):
+        return _NO_HITS
+    idxs, base, n = _doc_axis(slots, common, W + 2)
+    tf = np.add.reduceat(
+        _window_cells(slots, idxs, base, n, W).astype(np.int64), base)
+    keep = tf > 0
+    return common[keep], tf[keep]
+
+
+def _chain_tf(slots: list, W: int, mask: np.ndarray | None
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """(docs, tf) of the ordered-chain rule: tf = the first-slot
+    positions p1 from which a strictly increasing chain p1 < p2 < ... <
+    pn through the remaining slots, in slot order, fits in
+    [p1, p1+W-1].  Such a chain exists iff the greedy next-occurrence
+    chain fits, which is what the walk computes: per chain step ONE
+    searchsorted against the next slot's positions on the concatenated
+    axis.  W = n slots is an exact phrase (overlaps counted)."""
+    common = _slot_docs(slots, mask)
+    if not len(common):
+        return _NO_HITS
+    idxs, base, _ = _doc_axis(slots, common, W + 2)
+    g1, docslot = _gather(slots[0], idxs[0], base)
+    cur = g1
+    alive = np.ones(len(cur), dtype=bool)
+    for slot, ix in zip(slots[1:], idxs[1:]):
+        g, ds = _gather(slot, ix, base)
+        ends = np.cumsum(np.bincount(ds, minlength=len(common)))
+        j = np.searchsorted(g, cur, side="right")
+        ok = j < ends[docslot]
+        cur = np.where(ok, g[np.minimum(j, len(g) - 1)], cur)
+        alive &= ok
+    tf = np.bincount(docslot[alive & (cur - g1 <= W - 1)],
+                     minlength=len(common))
+    keep = tf > 0
+    return common[keep], tf[keep]
 
 
 class SegmentSearcher:
@@ -1390,31 +1540,27 @@ class SegmentSearcher:
         return (docs, *_doc_arrays(docs))
 
     def _postings(self, seg_dir: str, terms: Sequence[str], mode: str
-                  ) -> tuple[dict[str, dict], dict[str, tuple]]:
-        """(rows, decoded) for the ``terms`` present in one segment:
-        ``rows`` are the raw posting rows (column -> value), ``decoded``
-        the (ords, tfs) arrays.  Modes outside ``_LAZY_DECODE_MODES``
-        find every present term in ``decoded``, read without positions
-        (sqs also gets ``rows``: its phrase clauses read positions); the
-        lazy modes find it in ``rows`` (an up-front decode would make
-        WAND's block skips fictional)."""
+                  ) -> dict[str, Any]:
+        """The ``terms`` present in one segment, as ``mode``'s scorer
+        reads them: the positional family (``_POSITIONAL``) gets
+        (ords, flat positions, offsets) slots, each term decoded once
+        for the whole query batch; WAND gets the raw posting rows
+        (column -> value: it decodes block by block, and an up-front
+        decode would make its block skips fictional); every other mode
+        gets (ords, tfs), read without positions."""
         path = os.path.join(seg_dir, POSTINGS_NAME)
         codec = self.p.get("codec", "varint")
         block_size = self.p.get("block_size", 128)
-        if mode not in _LAZY_DECODE_MODES and mode != "sqs":
-            return {}, _read_decoded(path, terms, codec, block_size)
+        if mode in self._POSITIONAL:
+            return _read_positions(path, terms, codec, block_size)
+        if mode != "wand":
+            return _read_decoded(path, terms, codec, block_size)
         postings = pq.read_table(path, filters=[("term", "in", list(terms))])
         rows: dict[str, dict] = {}
         for i in range(postings.num_rows):
             rows[postings["term"][i].as_py()] = {
                 c: postings[c][i].as_py() for c in postings.column_names}
-        decoded: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        if mode == "sqs":         # phrase clauses read positions too
-            for t, r in rows.items():
-                decoded[t] = decode_posting_list(
-                    r["ords_enc"], r["tfs_enc"], codec=codec, df=r["df"],
-                    block_size=block_size, blk_n=r.get("blk_n"))
-        return rows, decoded
+        return rows
 
     def _search_segment(self, seg_dir: str) -> pa.Table | None:
         p = self.p
@@ -1443,8 +1589,8 @@ class SegmentSearcher:
             mask[kept] = True
 
         mode = p["mode"]
-        rows, decoded = self._postings(seg_dir, union_terms, mode)
-        present = rows if mode in _LAZY_DECODE_MODES else decoded
+        post = self._postings(seg_dir, union_terms, mode)
+        kernel = self._POSITIONAL.get(mode)
 
         out_qid: list[str] = []
         out_ord: list[np.ndarray] = []
@@ -1458,74 +1604,19 @@ class SegmentSearcher:
         sa_all = p.get("search_after") or {}
         key_names = [kc for kc, _ in p["key_types"]]
         for q in p["queries"]:
-            if mode == "phrase_prefix":
-                ords, scores = self._phrase_prefix(q, rows, dl, mask,
-                                                   q["k"], tie)
+            if kernel is not None:
+                ords, scores = kernel(self, q, post, dl, mask, tie)
                 out_qid.extend([q["query_id"]] * len(ords))
                 out_ord.append(ords)
                 out_sc.append(scores)
                 continue
             if mode == "synonym":
-                gs = [{**g, "terms": [t for t in g["terms"] if t in decoded]}
+                gs = [{**g, "terms": [t for t in g["terms"] if t in post]}
                       for g in q["groups"]]
                 gs = [g for g in gs if g["terms"]]
                 if not gs:
                     continue
-                ords, scores = self._taat_groups(gs, decoded, dl, mask,
-                                                 q["k"], tie)
-                out_qid.extend([q["query_id"]] * len(ords))
-                out_ord.append(ords)
-                out_sc.append(scores)
-                continue
-            if mode == "span_or":
-                # every clause needs >= 1 member present in the segment
-                gs = [{**g, "terms": [t for t in g["terms"]
-                                      if t in rows]}
-                      for g in q["groups"]]
-                if any(not g["terms"] for g in gs) or not gs:
-                    continue
-                ords, scores = self._span_or_near(gs, rows, dl, mask,
-                                                  q["k"], p["slop"],
-                                                  tie)
-                out_qid.extend([q["query_id"]] * len(ords))
-                out_ord.append(ords)
-                out_sc.append(scores)
-                continue
-            if mode == "sqs":
-                # simple_query_string [OpenSearch public semantics, the
-                # +/-/"phrase"/trailing-* flag subset]: score = the
-                # SEQUENTIAL clause-index chain of positive-clause
-                # scores; a doc qualifies iff it matches every MUST
-                # clause, no MUST_NOT clause, and >= 1 positive clause.
-                # Clause scores are doc-local => per-segment combine +
-                # bounded top-k is exact; the oracle mirrors the chain
-                # as left-assoc COALESCE sums over per-clause radial
-                # CTEs in the same clause order.
-                scores = np.zeros(n_docs, dtype=np.float64)
-                qual = (np.ones(n_docs, dtype=bool) if mask is None
-                        else mask.copy())
-                pos_match = np.zeros(n_docs, dtype=bool)
-                for cl in q["clauses"]:
-                    if cl["kind"] == "phrase":
-                        cd = self._phrase_dense(cl["terms"], rows, dl)
-                    else:
-                        cd = np.zeros(n_docs, dtype=np.float64)
-                        for (t, w, idf) in cl["terms"]:
-                            if t not in decoded:
-                                continue
-                            o2, tfs = decoded[t]
-                            cd[o2] += w * idf * bm25_tf_part(
-                                tfs, dl[o2], self.avgdl, self.k1, self.b)
-                    m = cd > 0.0
-                    if cl["occur"] == "must_not":
-                        qual &= ~m
-                        continue
-                    if cl["occur"] == "must":
-                        qual &= m
-                    scores = scores + cd
-                    pos_match |= m
-                candidates = np.flatnonzero(qual & pos_match)
-                ords, scores = _topk_from_scores(scores, candidates,
+                ords, scores = self._taat_groups(gs, post, dl, mask,
                                                  q["k"], tie)
                 out_qid.extend([q["query_id"]] * len(ords))
                 out_ord.append(ords)
@@ -1545,9 +1636,9 @@ class SegmentSearcher:
                 arr = np.zeros((len(subs), n_docs), dtype=np.float64)
                 for i, st in enumerate(subs):
                     for (t, w, idf) in st:
-                        if t not in decoded:
+                        if t not in post:
                             continue
-                        o2, tfs = decoded[t]
+                        o2, tfs = post[t]
                         arr[i, o2] += w * idf * bm25_tf_part(
                             tfs, dl[o2], self.avgdl, self.k1, self.b)
                 best = arr[0].copy()
@@ -1567,49 +1658,11 @@ class SegmentSearcher:
                 out_sc.append(scores)
                 continue
             terms = [(t, w, idf) for (t, w, idf) in q["terms"]
-                     if t in present]
+                     if t in post]
             if not terms:
                 continue
-            if mode == "phrase":
-                if len(terms) != len(q["terms"]):
-                    continue          # a phrase term missing => no match
-                ords, scores = self._phrase(q["terms"], rows, dl, mask,
-                                            q["k"], tie)
-            elif mode == "span":
-                if len(terms) != len(q["terms"]):
-                    continue          # containment needs every term
-                ords, scores = self._span_near(q["terms"], rows, dl,
-                                               mask, q["k"], p["slop"],
-                                               tie)
-            elif mode == "span_ordered":
-                if len(terms) != len(q["terms"]):
-                    continue          # the chain needs every term
-                ords, scores = self._span_ordered(q["terms"], rows, dl,
-                                                  mask, q["k"],
-                                                  p["slop"], tie)
-            elif mode == "span_not":
-                if len(terms) != 1:
-                    continue          # include term absent from segment
-                ords, scores = self._span_not({**q, "terms": terms},
-                                              rows, dl, mask, q["k"],
-                                              p["span_pre"],
-                                              p["span_post"], tie)
-            elif mode in ("span_within", "span_containing"):
-                # containment needs every big term AND the little term
-                if len(terms) != len(q["terms"]) \
-                        or q["span_little"][0] not in rows:
-                    continue
-                fn = (self._span_within if mode == "span_within"
-                      else self._span_containing)
-                ords, scores = fn(q["terms"], q["span_little"], rows,
-                                  dl, mask, q["k"], p["slop"], tie)
-            elif mode == "span_first":
-                # any qualifying term matches — use the present subset
-                ords, scores = self._span_first(terms, rows, dl, mask,
-                                                q["k"], p["span_end"],
-                                                tie)
-            elif mode == "wand":
-                cursors = [_TermCursor(rows[t], w * idf, self.k1, self.b,
+            if mode == "wand":
+                cursors = [_TermCursor(post[t], w * idf, self.k1, self.b,
                                        self.avgdl,
                                        codec=self.p.get("codec", "varint"),
                                        block_size=self.p.get("block_size", 128),
@@ -1623,17 +1676,17 @@ class SegmentSearcher:
                     else mask.copy()
                 ok = True
                 for t in q.get("must", ()):     # every MUST term present
-                    if t not in decoded:
+                    if t not in post:
                         ok = False              # term absent from segment
                         break
                     m = np.zeros(len(dl), dtype=bool)
-                    m[decoded[t][0]] = True
+                    m[post[t][0]] = True
                     bmask &= m
                 if not ok:
                     continue
                 for t in q.get("must_not", ()):
-                    if t in decoded:
-                        bmask[decoded[t][0]] = False
+                    if t in post:
+                        bmask[post[t][0]] = False
                 msm = p.get("msm")
                 if msm:
                     # minimum_should_match [Lucene BooleanQuery public
@@ -1642,10 +1695,10 @@ class SegmentSearcher:
                     # in the query => the query matches nothing
                     cnt = np.zeros(len(dl), dtype=np.int32)
                     for t in q.get("should", ()):
-                        if t in decoded:
-                            cnt[decoded[t][0]] += 1
+                        if t in post:
+                            cnt[post[t][0]] += 1
                     bmask &= cnt >= msm
-                ords, scores = self._taat(terms, decoded, dl, bmask, q["k"],
+                ords, scores = self._taat(terms, post, dl, bmask, q["k"],
                                           tie=tie,
                                           min_score=p.get("min_score"))
             else:
@@ -1659,8 +1712,8 @@ class SegmentSearcher:
                 if p.get("neg") is not None:
                     negmask = np.zeros(len(dl), dtype=bool)
                     for t in p["neg"].get(q["query_id"], ()):
-                        if t in decoded:
-                            negmask[decoded[t][0]] = True
+                        if t in post:
+                            negmask[post[t][0]] = True
                     neg = (negmask, p["negative_boost"])
                 tmask = mask
                 ts_spec = p.get("terms_set")
@@ -1677,13 +1730,13 @@ class SegmentSearcher:
                         .to_numpy(zero_copy_only=False).astype(np.int64)
                     cnt = np.zeros(n_docs, dtype=np.int64)
                     for t in sorted({tt for (tt, _, _) in terms}):
-                        cnt[decoded[t][0]] += 1
+                        cnt[post[t][0]] += 1
                     need = np.maximum(
                         1, np.minimum(
                             int(ts_spec["n_terms"][q["query_id"]]), reqv))
                     tm = cnt >= need
                     tmask = tm if tmask is None else (tmask & tm)
-                ords, scores = self._taat(terms, decoded, dl, tmask, q["k"],
+                ords, scores = self._taat(terms, post, dl, tmask, q["k"],
                                           rescore=p["rescore_oversample"] if mode == "rescore" else None,
                                           tie=tie,
                                           min_score=p.get("min_score"),
@@ -1726,92 +1779,195 @@ class SegmentSearcher:
         cols["score"] = pa.array(np.concatenate(out_sc), type=pa.float64())
         return pa.table(cols)
 
-    def _phrase_dense(self, terms, rows, dl, mask=None) -> np.ndarray:
-        """Dense per-doc exact-phrase scores (zeros where no match) —
-        the core of ``_phrase``, also consumed by the sqs combiner.  A
-        member term missing from this segment means no doc can match."""
-        from opensearch_jvector_ray.postings import decode_positions
+    def _sig_text_partial(self, seg_dir: str,
+                          sig_sets: dict[str, np.ndarray],
+                          n_docs: int) -> pa.Table | None:
+        return _sig_text_scan(seg_dir, sig_sets, n_docs,
+                              self.p.get("codec", "varint"),
+                              self.p.get("block_size", 128),
+                              self.p["agg_schema"])
+
+    # -- the phrase/span family: slots -> one combine rule -> BM25 -------
+    # Every kernel takes (q, post, dl, mask, tie), ``post`` being the
+    # segment's slots (``_postings``), and returns the segment's top-k
+    # (ords, scores); a query whose slots are absent matches nothing.
+    def _bm25(self, hits, idf_sum: float, dl: np.ndarray) -> np.ndarray:
+        """Dense per-doc scores of (docs, tf) pairs: idf_sum *
+        tf/(tf + k1*(1-b+b*dl/avgdl)), zero elsewhere."""
+        docs, tf = hits
         scores = np.zeros(len(dl), dtype=np.float64)
-        if any(t not in rows for (t, _, _) in terms) or not terms:
-            return scores
-        idf_sum = float(sum(w * idf for (_, w, idf) in terms))
-        # decode (ords, tfs, positions) per phrase term
-        per_term = []
-        for (t, _, _) in terms:
-            r = rows[t]
-            ords, tfs = decode_posting_list(
-                r["ords_enc"], r["tfs_enc"], codec=self.p.get("codec", "varint"),
-                df=r["df"], block_size=self.p.get("block_size", 128),
-                blk_n=r.get("blk_n"))
-            flat, offs = decode_positions(r["pos_enc"], tfs)
-            per_term.append((ords, flat, offs))
-        # docs containing ALL terms
-        common = per_term[0][0]
-        for ords, _, _ in per_term[1:]:
-            common = common[np.isin(common, ords, assume_unique=True)]
-        if mask is not None and len(common):
-            common = common[mask[common]]
-        cand_ords, cand_tf = [], []
-        for o in common.tolist():
-            # positions of term j at doc o, shifted by -j; intersection =
-            # phrase start positions (overlaps counted, like Lucene)
-            occ = None
-            for j, (ords, flat, offs) in enumerate(per_term):
-                i = int(np.searchsorted(ords, o))
-                pos = flat[offs[i]:offs[i + 1]] - j
-                occ = pos if occ is None else np.intersect1d(occ, pos,
-                                                             assume_unique=True)
-                if len(occ) == 0:
-                    break
-            if occ is not None and len(occ):
-                cand_ords.append(o)
-                cand_tf.append(len(occ))
-        if not cand_ords:
-            return scores
-        cand_ords = np.array(cand_ords, dtype=np.int64)
-        tf = np.array(cand_tf, dtype=np.float64)
-        scores[cand_ords] = idf_sum * bm25_tf_part(
-            tf, dl[cand_ords], self.avgdl, self.k1, self.b)
+        scores[docs] = idf_sum * bm25_tf_part(
+            tf.astype(np.float64), dl[docs], self.avgdl, self.k1, self.b)
         return scores
 
-    def _phrase(self, terms, rows, dl, mask, k, tie=None):
-        """Exact phrase scoring [Lucene PhraseQuery public semantics]:
-        tf = number of phrase occurrences (adjacent positions, counted on
-        the PRE-stopword position axis — StopFilter position gaps break
-        phrases, as in Lucene), idf = sum of the member terms' idfs,
-        score = idf_sum * tf/(tf + k1*(1-b+b*dl/avgdl)).
+    def _top(self, hits, idf_sum, dl, k, tie):
+        return _topk_from_scores(self._bm25(hits, idf_sum, dl), hits[0], k, tie)
 
-        Positions are the reason the index stores pos_enc; this is the
-        M6/S12 positions path exercised end-to-end.
-        """
-        scores = self._phrase_dense(terms, rows, dl, mask=mask)
-        cand_ords = np.flatnonzero(scores > 0.0)
-        if not len(cand_ords):
-            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64)
-        return _topk_from_scores(scores, cand_ords, k, tie)
+    def _span_ordered(self, q, post, dl, mask, tie):
+        """Exact phrase [Lucene PhraseQuery] and in-order proximity
+        [Lucene SpanNearQuery(inOrder=true), the sloppy-phrase analog;
+        rule defined here and mirrored by the SQL oracle]: the ordered
+        chain (``_chain_tf``) over the query terms in sequence order,
+        duplicates kept, with W = n_terms + slop (slop is 0 for a
+        phrase: adjacent positions, overlaps counted).  Positions are on
+        the PRE-stopword axis, so StopFilter gaps break phrases as in
+        Lucene.  score = idf_sum (sequence order, duplicates counted —
+        the Lucene per-clause sum) * tf-part."""
+        slots = _slots([t for t, _, _ in q["terms"]], post)
+        if not slots:
+            return _NO_HITS
+        idf_sum = float(sum(w * idf for (_, w, idf) in q["terms"]))
+        return self._top(_chain_tf(slots, len(slots) + self.p["slop"], mask),
+                         idf_sum, dl, q["k"], tie)
 
-    def _span_first(self, terms, rows, dl, mask, k, end, tie=None):
+    def _phrase_prefix(self, q, post, dl, mask, tie):
+        """match_phrase_prefix [Lucene MultiPhraseQuery public
+        semantics]: an exact phrase whose LAST slot accepts ANY term of
+        the capped prefix-expansion set — the ordered chain with
+        W = n slots whose last slot is the union of the expansion
+        terms' positions; idf_sum (precomputed at prepare time from
+        GLOBAL stats: literal idfs in position order + expansion idfs
+        term-ascending) scales the shared tf-part."""
+        lits = _slots(q["lit_terms"], post)
+        exps = [post[e] for e in q["exp_terms"] if e in post]
+        if lits is None or not exps:
+            return _NO_HITS
+        slots = [*lits, _union_slot(exps)]
+        return self._top(_chain_tf(slots, len(slots), mask), q["idf_sum"],
+                         dl, q["k"], tie)
+
+    def _span_near(self, q, post, dl, mask, tie):
+        """Unordered proximity scoring [Lucene SpanNearQuery-shaped;
+        window rule defined here and mirrored symbol-for-symbol by the
+        SQL oracle]: with window width W = n_distinct_terms + slop, a
+        match start is any position s (on the PRE-stopword axis, s may
+        hang off either end) whose width-W window contains at least one
+        occurrence of EVERY distinct query term; tf = number of such
+        starts (the window cover, ``_window_tf``), score = idf_sum over
+        the distinct terms, first-occurrence analyzed order * tf-part."""
+        seen: dict[str, tuple] = {}
+        for tr in q["terms"]:
+            seen.setdefault(tr[0], tr)
+        slots = _slots(seen, post)
+        if not slots:
+            return _NO_HITS
+        idf_sum = float(sum(w * idf for (_, w, idf) in seen.values()))
+        return self._top(_window_tf(slots, len(slots) + self.p["slop"], mask),
+                         idf_sum, dl, q["k"], tie)
+
+    def _span_or_near(self, q, post, dl, mask, tie):
+        """span_near over span_or clauses [Lucene SpanNearQuery over
+        SpanOrQuery public semantics; rule defined here and mirrored by
+        the SQL oracle]: each clause is a set of alternative terms
+        whose per-doc occurrence positions are UNIONED; containment
+        (width W = n_clauses + slop) then runs exactly like _span_near
+        over the clause slots, and needs >= 1 member of every clause in
+        the segment.  Clause idf follows the SynonymQuery-BLENDED rule
+        the synonym engine already uses: idf from the MAX member df;
+        idf_sum = Σ clause idfs in clause order."""
+        groups = q["groups"]
+        members = [[post[t] for t in g["terms"] if t in post] for g in groups]
+        if not members or not all(members):
+            return _NO_HITS
+        idf_sum = float(sum(g["idf"] for g in groups))
+        return self._top(_window_tf([_union_slot(m) for m in members],
+                                    len(groups) + self.p["slop"], mask),
+                         idf_sum, dl, q["k"], tie)
+
+    def _span_containing(self, q, post, dl, mask, tie):
+        """span_containing [Lucene SpanContainingQuery-shaped; rule
+        defined here and mirrored by the SQL oracle]: big = the
+        span_near window over the big terms (width W = n_big + slop),
+        little = a single term; tf = number of valid big window ENDS
+        whose window ALSO contains >= 1 little occurrence — exactly the
+        span_near containment with the little term as one extra slot;
+        score = idf_sum(BIG terms only) * tf-part (the big span is what's
+        scored)."""
+        big = q["terms"]
+        slots = _slots([t for t, _, _ in [*big, q["span_little"]]], post)
+        if not big or slots is None:
+            return _NO_HITS
+        idf_sum = float(sum(w * idf for (_, w, idf) in big))
+        return self._top(_window_tf(slots, len(big) + self.p["slop"], mask),
+                         idf_sum, dl, q["k"], tie)
+
+    def _span_within(self, q, post, dl, mask, tie):
+        """span_within [Lucene SpanWithinQuery-shaped; rule defined
+        here and mirrored by the SQL oracle]: tf = number of LITTLE
+        occurrences p covered by some valid big window (∃ window end
+        e in [p, p+W-1] whose width-W window contains every big term,
+        W = n_big + slop); score = w * idf(little) * tf-part (the
+        little span is what's scored).  The big terms' window cells
+        (``_window_cells``) plus ONE cumsum window-count over the
+        little positions."""
+        big, (_, lw, lidf) = q["terms"], q["span_little"]
+        slots = _slots([t for t, _, _ in [*big, q["span_little"]]], post)
+        if not big or slots is None:
+            return _NO_HITS
+        W = len(big) + self.p["slop"]
+        common = _slot_docs(slots, mask)
+        if not len(common):
+            return _NO_HITS
+        idxs, base, n = _doc_axis(slots, common, W + 2)
+        c = np.cumsum(_window_cells(slots[:-1], idxs[:-1], base, n, W)
+                      .astype(np.int64))
+        g, docslot = _gather(slots[-1], idxs[-1], base)
+        hi = c[g + W - 1]
+        lo = np.where(g > 0, c[np.maximum(g - 1, 0)], 0)
+        tf = np.bincount(docslot[hi - lo > 0], minlength=len(common))
+        keep = tf > 0
+        return self._top((common[keep], tf[keep]), lw * lidf, dl, q["k"], tie)
+
+    def _span_not(self, q, post, dl, mask, tie):
+        """span_not [Lucene SpanNotQuery public semantics, single-term
+        include/exclude; rule defined here and mirrored by the SQL
+        oracle]: an include-term occurrence at position p (PRE-stopword
+        axis) survives unless some exclude-term occurrence q satisfies
+        q - pre <= p <= q + post; tf = surviving occurrences, score =
+        w * idf(include) * tf-part.  Docs without the exclude term keep
+        their full tf; exclude-only docs never match."""
+        (inc, w, idf), = q["terms"]
+        if inc not in post:
+            return _NO_HITS
+        slot = post[inc]
+        ords, _, offs = slot
+        tf = np.diff(offs)
+        exc = q.get("span_not_exc")
+        if exc in post:
+            # docs holding both: mark the [q-pre, q+post] zones on the
+            # concatenated axis, count include positions outside them
+            pre, after = self.p["span_pre"], self.p["span_post"]
+            pair = [slot, post[exc]]
+            common = _slot_docs(pair, None)
+            if len(common):
+                (ix, ix_e), base, n = _doc_axis(pair, common, after + 2)
+                g_e, ds_e = _gather(pair[1], ix_e, base)
+                zone = _cover(np.maximum(g_e - pre, base[ds_e]),
+                              g_e + after + 1, n)
+                g_i, ds_i = _gather(slot, ix, base)
+                tf[ix] = np.bincount(ds_i[~zone[g_i]], minlength=len(common))
+        keep = tf > 0
+        if mask is not None:
+            keep &= mask[ords]
+        return self._top((ords[keep], tf[keep]), w * idf, dl, q["k"], tie)
+
+    def _span_first(self, q, post, dl, mask, tie):
         """Span-first scoring [Lucene SpanFirstQuery-shaped; rule
         defined here and mirrored by the SQL oracle]: a term occurrence
         counts only if its position (PRE-stopword axis, 0-based) is
-        < ``end`` — i.e. the match must sit inside the document's first
-        ``end`` tokens.  Per term, tf_first = number of qualifying
-        occurrences; score = the standard match-query sum over analyzed
-        terms with tf_first in place of tf (terms with no qualifying
-        occurrence contribute nothing; a doc matches if ANY term
-        qualifies).  Vectorized: one cumsum of (pos < end) per term +
-        ragged-offset differences — no per-doc loop."""
-        from opensearch_jvector_ray.postings import decode_positions
-        n_docs = len(dl)
-        scores = np.zeros(n_docs, dtype=np.float64)
-        for (t, w, idf) in terms:    # analyzed first-appearance order
-            r = rows[t]
-            ords, tfs = decode_posting_list(
-                r["ords_enc"], r["tfs_enc"],
-                codec=self.p.get("codec", "varint"), df=r["df"],
-                block_size=self.p.get("block_size", 128),
-                blk_n=r.get("blk_n"))
-            flat, offs = decode_positions(r["pos_enc"], tfs)
+        < ``span_end`` — i.e. the match must sit inside the document's
+        first ``span_end`` tokens.  Per term, tf_first = number of
+        qualifying occurrences; score = the standard match-query sum
+        over the analyzed terms present in the segment with tf_first in
+        place of tf (terms with no qualifying occurrence contribute
+        nothing; a doc matches if ANY term qualifies).  One cumsum of
+        (pos < end) per term + ragged-offset differences."""
+        end = self.p["span_end"]
+        scores = np.zeros(len(dl), dtype=np.float64)
+        for (t, w, idf) in q["terms"]:    # analyzed first-appearance order
+            if t not in post:
+                continue
+            ords, flat, offs = post[t]
             c = np.concatenate([[0], np.cumsum(flat < end)])
             cnt = (c[offs[1:]] - c[offs[:-1]]).astype(np.float64)
             nz = cnt > 0.0
@@ -1821,495 +1977,60 @@ class SegmentSearcher:
                     cnt[nz], dl[sel], self.avgdl, self.k1, self.b)
         if mask is not None:
             scores[~mask] = 0.0
-        candidates = np.flatnonzero(scores > 0.0)
-        return _topk_from_scores(scores, candidates, k, tie)
+        return _topk_from_scores(scores, np.flatnonzero(scores > 0.0),
+                                 q["k"], tie)
 
-    def _span_near(self, terms, rows, dl, mask, k, slop, tie=None):
-        """Unordered proximity scoring [Lucene SpanNearQuery-shaped;
-        window rule defined here and mirrored symbol-for-symbol by the
-        SQL oracle]: with window width W = n_distinct_terms + slop, a
-        match start is any position s (on the PRE-stopword axis, s may
-        hang off either end) whose width-W window contains at least one
-        occurrence of EVERY distinct query term; tf = number of such
-        starts, score = idf_sum * tf/(tf + k1*(1-b+b*dl/avgdl)) — the
-        phrase scorer with windowed containment instead of adjacency.
-
-        Per doc the valid-start set is the intersection over terms of
-        the union of [p-W+1, p] intervals (computed with one diff-array
-        cumsum per term — vectorized, no per-position Python loop)."""
-        from opensearch_jvector_ray.postings import decode_positions
-        # distinct terms, first-occurrence analyzed order (idf_sum over
-        # the distinct set)
-        seen: dict[str, tuple] = {}
-        for (t, w, idf) in terms:
-            if t not in seen:
-                seen[t] = (t, w, idf)
-        dterms = list(seen.values())
-        idf_sum = float(sum(w * idf for (_, w, idf) in dterms))
-        W = len(dterms) + int(slop)
-        per_term = []
-        for (t, _, _) in dterms:
-            r = rows[t]
-            ords, tfs = decode_posting_list(
-                r["ords_enc"], r["tfs_enc"],
-                codec=self.p.get("codec", "varint"), df=r["df"],
-                block_size=self.p.get("block_size", 128),
-                blk_n=r.get("blk_n"))
-            flat, offs = decode_positions(r["pos_enc"], tfs)
-            per_term.append((ords, flat, offs))
-        return self._span_window_score(per_term, dl, mask, k, W,
-                                       idf_sum, tie)
-
-    def _sig_text_partial(self, seg_dir: str,
-                          sig_sets: dict[str, np.ndarray],
-                          n_docs: int) -> pa.Table | None:
-        return _sig_text_scan(seg_dir, sig_sets, n_docs,
-                              self.p.get("codec", "varint"),
-                              self.p.get("block_size", 128),
-                              self.p["agg_schema"])
-
-    def _span_ordered(self, terms, rows, dl, mask, k, slop, tie=None):
-        """In-order proximity scoring [Lucene SpanNearQuery
-        (inOrder=true) public semantics — the sloppy-phrase analog;
-        rule defined here and mirrored by the SQL oracle]: with
-        W = n_sequence_terms + slop, tf = number of first-term
-        occurrences p1 for which a strictly increasing chain
-        p1 < p2 < ... < pn of the remaining sequence terms (duplicates
-        kept, position order) exists inside [p1, p1+W-1]; existence of
-        such a chain == the greedy next-occurrence chain fits, which is
-        what the vectorized walk computes.  score = idf_sum (sequence
-        order, duplicates counted — the Lucene per-clause sum) *
-        tf-part.  Per chain step ONE searchsorted against the next
-        term's concatenated global position array — no per-doc loop."""
-        from opensearch_jvector_ray.postings import decode_positions
-        idf_sum = float(sum(w * idf for (_, w, idf) in terms))
-        W = len(terms) + int(slop)
-        decoded: dict[str, tuple] = {}
-        for (t, _, _) in terms:
-            if t in decoded:
+    def _sqs(self, q, post, dl, mask, tie):
+        """simple_query_string [OpenSearch public semantics, the
+        +/-/"phrase"/trailing-* flag subset]: score = the SEQUENTIAL
+        clause-index chain of positive-clause scores; a doc qualifies
+        iff it matches every MUST clause, no MUST_NOT clause, and >= 1
+        positive clause.  A phrase clause scores as an exact phrase
+        (the ordered chain, W = n terms), a term clause as the BM25 sum.
+        Clause scores are doc-local => per-segment combine + bounded
+        top-k is exact; the oracle mirrors the chain as left-assoc
+        COALESCE sums over per-clause radial CTEs in the same clause
+        order."""
+        n_docs = len(dl)
+        scores = np.zeros(n_docs, dtype=np.float64)
+        qual = (np.ones(n_docs, dtype=bool) if mask is None
+                else mask.copy())
+        pos_match = np.zeros(n_docs, dtype=bool)
+        for cl in q["clauses"]:
+            if cl["kind"] == "phrase":
+                slots = _slots([t for t, _, _ in cl["terms"]], post)
+                cd = (self._bm25(_chain_tf(slots, len(slots), None),
+                                 float(sum(w * idf for (_, w, idf)
+                                           in cl["terms"])), dl)
+                      if slots else np.zeros(n_docs, dtype=np.float64))
+            else:
+                cd = np.zeros(n_docs, dtype=np.float64)
+                for (t, w, idf) in cl["terms"]:
+                    if t not in post:
+                        continue
+                    o2, _, offs = post[t]
+                    cd[o2] += w * idf * bm25_tf_part(
+                        np.diff(offs), dl[o2], self.avgdl, self.k1, self.b)
+            m = cd > 0.0
+            if cl["occur"] == "must_not":
+                qual &= ~m
                 continue
-            r = rows[t]
-            ords, tfs = decode_posting_list(
-                r["ords_enc"], r["tfs_enc"],
-                codec=self.p.get("codec", "varint"), df=r["df"],
-                block_size=self.p.get("block_size", 128),
-                blk_n=r.get("blk_n"))
-            flat, offs = decode_positions(r["pos_enc"], tfs)
-            decoded[t] = (ords, np.asarray(flat), np.asarray(offs))
-        common = None
-        for t in dict.fromkeys(t for (t, _, _) in terms):
-            o = decoded[t][0]
-            common = o if common is None else \
-                common[np.isin(common, o, assume_unique=True)]
-        if mask is not None and len(common):
-            common = common[mask[common]]
-        if not len(common):
-            return (np.zeros(0, dtype=np.int64),
-                    np.zeros(0, dtype=np.float64))
-        # global concatenated axis (base strictly separates docs)
-        seq = [decoded[t] for (t, _, _) in terms]
-        idxs = [np.searchsorted(d[0], common) for d in seq]
-        last = np.stack([d[1][d[2][ix + 1] - 1]
-                         for d, ix in zip(seq, idxs)])
-        slot = last.max(axis=0).astype(np.int64) + W + 2
-        base = np.concatenate(([0], np.cumsum(slot)[:-1]))
+            if cl["occur"] == "must":
+                qual &= m
+            scores = scores + cd
+            pos_match |= m
+        return _topk_from_scores(scores, np.flatnonzero(qual & pos_match),
+                                 q["k"], tie)
 
-        def _globals(d, ix):
-            _, flat, offs = d
-            lens = offs[ix + 1] - offs[ix]
-            n = int(lens.sum())
-            docslot = np.repeat(np.arange(len(common)), lens)
-            within = np.arange(n) - np.repeat(np.cumsum(lens) - lens,
-                                              lens)
-            g = flat[np.repeat(offs[ix], lens) + within] + base[docslot]
-            ends = np.cumsum(lens)          # end index per docslot
-            return g, docslot, ends
-
-        g1, docslot1, _ = _globals(seq[0], idxs[0])
-        cur = g1.astype(np.int64)
-        alive = np.ones(len(cur), dtype=bool)
-        for d, ix in zip(seq[1:], idxs[1:]):
-            g_i, _, ends_i = _globals(d, ix)
-            j = np.searchsorted(g_i, cur, side="right")
-            ok = j < ends_i[docslot1]
-            nxt = g_i[np.minimum(j, len(g_i) - 1)]
-            cur = np.where(ok, nxt, cur)
-            alive &= ok
-        hit = alive & (cur - g1 <= W - 1)
-        tf_all = np.bincount(docslot1[hit], minlength=len(common))
-        keep = tf_all > 0
-        if not keep.any():
-            return (np.zeros(0, dtype=np.int64),
-                    np.zeros(0, dtype=np.float64))
-        cand = common[keep].astype(np.int64)
-        tf = tf_all[keep].astype(np.float64)
-        sc = idf_sum * bm25_tf_part(tf, dl[cand], self.avgdl,
-                                    self.k1, self.b)
-        scores = np.zeros(len(dl), dtype=np.float64)
-        scores[cand] = sc
-        return _topk_from_scores(scores, cand, k, tie)
-
-    def _span_window_score(self, per_term, dl, mask, k, W, idf_sum,
-                           tie=None):
-        """Shared windowed-containment core (span_near AND span_or):
-        per clause a (ords, flat positions, offsets) triple; tf = valid
-        starts whose width-W window contains >= 1 occurrence of EVERY
-        clause."""
-        common = per_term[0][0]
-        for ords, _, _ in per_term[1:]:
-            common = common[np.isin(common, ords, assume_unique=True)]
-        if mask is not None and len(common):
-            common = common[mask[common]]
-        if not len(common):
-            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64)
-        # GLOBAL concatenated axis: every common doc gets a slot of
-        # (max_pos + W + 2) cells; per term ONE ragged gather + one
-        # diff-scatter + one cumsum marks the valid-start union across
-        # ALL docs at once (intervals never cross slot boundaries: the
-        # +1/-1 pair closes inside the slot), then one AND per term and
-        # one reduceat gives every doc's tf — no per-doc Python loop.
-        idxs = [np.searchsorted(pt[0], common) for pt in per_term]
-        last = np.stack([
-            np.asarray(pt[1])[np.asarray(pt[2])[ix + 1] - 1]
-            for pt, ix in zip(per_term, idxs)])
-        slot = last.max(axis=0).astype(np.int64) + W + 2
-        base = np.concatenate(([0], np.cumsum(slot)[:-1]))
-        total = int(slot.sum())
-        acc = None
-        for (ords, flat, offs), ix in zip(per_term, idxs):
-            flat = np.asarray(flat)
-            offs = np.asarray(offs)
-            lens = offs[ix + 1] - offs[ix]
-            n = int(lens.sum())
-            docslot = np.repeat(np.arange(len(common)), lens)
-            within = np.arange(n) - np.repeat(np.cumsum(lens) - lens,
-                                              lens)
-            pos = flat[np.repeat(offs[ix], lens) + within]
-            g = base[docslot] + pos
-            d = np.zeros(total + 1, dtype=np.int32)
-            np.add.at(d, g, 1)
-            np.add.at(d, g + W, -1)
-            b = np.cumsum(d[:-1]) > 0
-            acc = b if acc is None else acc & b
-        tf_all = np.add.reduceat(acc.astype(np.int64), base)
-        keep = tf_all > 0
-        if not keep.any():
-            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64)
-        cand_ords = common[keep].astype(np.int64)
-        tf = tf_all[keep].astype(np.float64)
-        sc = idf_sum * bm25_tf_part(tf, dl[cand_ords], self.avgdl,
-                                    self.k1, self.b)
-        scores = np.zeros(len(dl), dtype=np.float64)
-        scores[cand_ords] = sc
-        return _topk_from_scores(scores, cand_ords, k, tie)
-
-    def _span_or_near(self, groups, rows, dl, mask, k, slop, tie=None):
-        """span_near over span_or clauses [Lucene SpanNearQuery over
-        SpanOrQuery public semantics; rule defined here and mirrored by
-        the SQL oracle]: each clause is a set of alternative terms
-        whose per-doc occurrence positions are UNIONED; containment
-        (width W = n_clauses + slop) then runs exactly like _span_near
-        over the clause position lists.  A clause matches a doc if ANY
-        member occurs.  Clause idf follows the SynonymQuery-BLENDED
-        rule the synonym engine already uses: idf from the MAX member
-        df; idf_sum = Σ clause idfs in clause order.  ``groups`` is a
-        list of dicts {"terms": [member...], "idf": float} with members
-        restricted to this segment's present terms by the caller."""
-        from opensearch_jvector_ray.postings import decode_positions
-        idf_sum = float(sum(g["idf"] for g in groups))
-        W = len(groups) + int(slop)
-        per_clause = []
-        for g in groups:
-            pairs_ord = []
-            pairs_pos = []
-            for t in g["terms"]:
-                r = rows[t]
-                ords, tfs = decode_posting_list(
-                    r["ords_enc"], r["tfs_enc"],
-                    codec=self.p.get("codec", "varint"), df=r["df"],
-                    block_size=self.p.get("block_size", 128),
-                    blk_n=r.get("blk_n"))
-                flat, offs = decode_positions(r["pos_enc"], tfs)
-                offs = np.asarray(offs)
-                pairs_ord.append(np.repeat(ords, np.diff(offs)))
-                pairs_pos.append(np.asarray(flat))
-            po = np.concatenate(pairs_ord)
-            pp = np.concatenate(pairs_pos)
-            order = np.lexsort((pp, po))
-            po, pp = po[order], pp[order]
-            if len(po):
-                # dedupe identical (doc, pos) pairs (members never
-                # share a position in reality, but stay exact anyway)
-                keep = np.concatenate(
-                    ([True], (po[1:] != po[:-1]) | (pp[1:] != pp[:-1])))
-                po, pp = po[keep], pp[keep]
-            uords, counts = np.unique(po, return_counts=True)
-            offs_u = np.concatenate(([0], np.cumsum(counts)))
-            per_clause.append((uords.astype(np.int64), pp,
-                               offs_u.astype(np.int64)))
-            if not len(uords):
-                return (np.zeros(0, dtype=np.int64),
-                        np.zeros(0, dtype=np.float64))
-        return self._span_window_score(per_clause, dl, mask, k, W,
-                                       idf_sum, tie)
-
-    def _span_containing(self, big_terms, little, rows, dl, mask, k,
-                         slop, tie=None):
-        """span_containing [Lucene SpanContainingQuery-shaped; rule
-        defined here and mirrored by the SQL oracle]: big = the
-        span_near window over the big terms (width W = n_distinct_big
-        + slop), little = a single term; tf = number of valid big
-        window ENDS whose window ALSO contains >= 1 little occurrence
-        — exactly the span_near containment with the little term as
-        one extra clause; score = idf_sum(BIG terms only) * tf-part
-        (the big span is what's scored)."""
-        from opensearch_jvector_ray.postings import decode_positions
-        idf_sum = float(sum(w * idf for (_, w, idf) in big_terms))
-        W = len(big_terms) + int(slop)
-        per_term = []
-        for (t, _, _) in [*big_terms, little]:
-            r = rows[t]
-            ords, tfs = decode_posting_list(
-                r["ords_enc"], r["tfs_enc"],
-                codec=self.p.get("codec", "varint"), df=r["df"],
-                block_size=self.p.get("block_size", 128),
-                blk_n=r.get("blk_n"))
-            flat, offs = decode_positions(r["pos_enc"], tfs)
-            per_term.append((ords, flat, offs))
-        return self._span_window_score(per_term, dl, mask, k, W,
-                                       idf_sum, tie)
-
-    def _span_within(self, big_terms, little, rows, dl, mask, k, slop,
-                     tie=None):
-        """span_within [Lucene SpanWithinQuery-shaped; rule defined
-        here and mirrored by the SQL oracle]: tf = number of LITTLE
-        occurrences p covered by some valid big window (∃ window end
-        e in [p, p+W-1] whose width-W window contains every big term,
-        W = n_distinct_big + slop); score = w * idf(little) * tf-part
-        (the little span is what's scored).  Same concatenated-axis
-        diff-array machinery as _span_window_score plus ONE cumsum
-        window-count over the little positions — no per-doc loop."""
-        from opensearch_jvector_ray.postings import decode_positions
-        (lt, lw, lidf) = little
-        W = len(big_terms) + int(slop)
-        trips = []
-        for (t, _, _) in [*big_terms, little]:
-            r = rows[t]
-            ords, tfs = decode_posting_list(
-                r["ords_enc"], r["tfs_enc"],
-                codec=self.p.get("codec", "varint"), df=r["df"],
-                block_size=self.p.get("block_size", 128),
-                blk_n=r.get("blk_n"))
-            flat, offs = decode_positions(r["pos_enc"], tfs)
-            trips.append((ords, np.asarray(flat), np.asarray(offs)))
-        per_big, lit = trips[:-1], trips[-1]
-        common = per_big[0][0]
-        for ords, _, _ in per_big[1:]:
-            common = common[np.isin(common, ords, assume_unique=True)]
-        common = common[np.isin(common, lit[0], assume_unique=True)]
-        if mask is not None and len(common):
-            common = common[mask[common]]
-        if not len(common):
-            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64)
-        idxs = [np.searchsorted(pt[0], common) for pt in trips]
-        last = np.stack([pt[1][pt[2][ix + 1] - 1]
-                         for pt, ix in zip(trips, idxs)])
-        slot = last.max(axis=0).astype(np.int64) + W + 2
-        base = np.concatenate(([0], np.cumsum(slot)[:-1]))
-        total = int(slot.sum())
-        acc = None
-        for (ords, flat, offs), ix in zip(per_big, idxs):
-            lens = offs[ix + 1] - offs[ix]
-            n = int(lens.sum())
-            docslot = np.repeat(np.arange(len(common)), lens)
-            within = np.arange(n) - np.repeat(np.cumsum(lens) - lens,
-                                              lens)
-            pos = flat[np.repeat(offs[ix], lens) + within]
-            g = base[docslot] + pos
-            d = np.zeros(total + 1, dtype=np.int32)
-            np.add.at(d, g, 1)
-            np.add.at(d, g + W, -1)
-            b = np.cumsum(d[:-1]) > 0
-            acc = b if acc is None else acc & b
-        c = np.cumsum(acc.astype(np.int64))
-        l_ords, l_flat, l_offs = lit
-        lix = idxs[-1]
-        lens_l = l_offs[lix + 1] - l_offs[lix]
-        n_l = int(lens_l.sum())
-        docslot_l = np.repeat(np.arange(len(common)), lens_l)
-        within_l = np.arange(n_l) - np.repeat(
-            np.cumsum(lens_l) - lens_l, lens_l)
-        pos_l = l_flat[np.repeat(l_offs[lix], lens_l) + within_l]
-        g_l = base[docslot_l] + pos_l
-        hi = c[g_l + W - 1]
-        lo = np.where(g_l > 0, c[np.maximum(g_l - 1, 0)], 0)
-        ok = ((hi - lo) > 0).astype(np.int64)
-        tf_all = np.zeros(len(common), dtype=np.int64)
-        np.add.at(tf_all, docslot_l, ok)
-        keep = tf_all > 0
-        if not keep.any():
-            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64)
-        cand = common[keep].astype(np.int64)
-        tf = tf_all[keep].astype(np.float64)
-        sc = lw * lidf * bm25_tf_part(tf, dl[cand], self.avgdl,
-                                      self.k1, self.b)
-        scores = np.zeros(len(dl), dtype=np.float64)
-        scores[cand] = sc
-        return _topk_from_scores(scores, cand, k, tie)
-
-    def _span_not(self, q, rows, dl, mask, k, pre, post, tie=None):
-        """span_not [Lucene SpanNotQuery public semantics, single-term
-        include/exclude; rule defined here and mirrored by the SQL
-        oracle]: an include-term occurrence at position p (PRE-stopword
-        axis) survives unless some exclude-term occurrence q satisfies
-        q - pre <= p <= q + post; tf = surviving occurrences, score =
-        w * idf(include) * tf-part.  Docs without the exclude term keep
-        their full tf; exclude-only docs never match."""
-        from opensearch_jvector_ray.postings import decode_positions
-        (inc, w, idf), = q["terms"]
-        exc = q.get("span_not_exc")
-        r = rows[inc]
-        ords_i, tfs_i = decode_posting_list(
-            r["ords_enc"], r["tfs_enc"],
-            codec=self.p.get("codec", "varint"), df=r["df"],
-            block_size=self.p.get("block_size", 128),
-            blk_n=r.get("blk_n"))
-        flat_i, offs_i = decode_positions(r["pos_enc"], tfs_i)
-        flat_i = np.asarray(flat_i)
-        offs_i = np.asarray(offs_i)
-        tf = np.diff(offs_i).astype(np.int64)
-        if exc is not None and exc in rows:
-            re_ = rows[exc]
-            ords_e, tfs_e = decode_posting_list(
-                re_["ords_enc"], re_["tfs_enc"],
-                codec=self.p.get("codec", "varint"), df=re_["df"],
-                block_size=self.p.get("block_size", 128),
-                blk_n=re_.get("blk_n"))
-            flat_e, offs_e = decode_positions(re_["pos_enc"], tfs_e)
-            flat_e = np.asarray(flat_e)
-            offs_e = np.asarray(offs_e)
-            # common docs: mark [q-pre, q+post] zones on a concatenated
-            # axis, count include positions outside them (one diff-array
-            # cumsum, no per-doc loop — the _span_near trick)
-            common = ords_i[np.isin(ords_i, ords_e, assume_unique=True)]
-            if len(common):
-                ix_i = np.searchsorted(ords_i, common)
-                ix_e = np.searchsorted(ords_e, common)
-                last_i = flat_i[offs_i[ix_i + 1] - 1]
-                last_e = flat_e[offs_e[ix_e + 1] - 1]
-                slot = (np.maximum(last_i, last_e).astype(np.int64)
-                        + int(post) + 2)
-                base = np.concatenate(([0], np.cumsum(slot)[:-1]))
-                total = int(slot.sum())
-                lens_e = offs_e[ix_e + 1] - offs_e[ix_e]
-                n_e = int(lens_e.sum())
-                docslot = np.repeat(np.arange(len(common)), lens_e)
-                within = np.arange(n_e) - np.repeat(
-                    np.cumsum(lens_e) - lens_e, lens_e)
-                pos_e = flat_e[np.repeat(offs_e[ix_e], lens_e) + within]
-                zone_lo = np.maximum(pos_e - int(pre), 0)
-                zone_hi = pos_e + int(post) + 1
-                d = np.zeros(total + 1, dtype=np.int32)
-                np.add.at(d, base[docslot] + zone_lo, 1)
-                np.add.at(d, base[docslot] + zone_hi, -1)
-                zone = np.cumsum(d[:-1]) > 0
-                lens_i = offs_i[ix_i + 1] - offs_i[ix_i]
-                n_i = int(lens_i.sum())
-                docslot_i = np.repeat(np.arange(len(common)), lens_i)
-                within_i = np.arange(n_i) - np.repeat(
-                    np.cumsum(lens_i) - lens_i, lens_i)
-                pos_i = flat_i[np.repeat(offs_i[ix_i], lens_i)
-                               + within_i]
-                ok = (~zone[base[docslot_i] + pos_i]).astype(np.int64)
-                surv = np.zeros(len(common), dtype=np.int64)
-                np.add.at(surv, docslot_i, ok)
-                tf[ix_i] = surv
-        keep = tf > 0
-        cand = ords_i[keep]
-        if mask is not None and len(cand):
-            m2 = mask[cand]
-            cand = cand[m2]
-            tfk = tf[keep][m2]
-        else:
-            tfk = tf[keep]
-        if not len(cand):
-            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64)
-        sc = w * idf * bm25_tf_part(tfk.astype(np.float64), dl[cand],
-                                    self.avgdl, self.k1, self.b)
-        scores = np.zeros(len(dl), dtype=np.float64)
-        scores[cand] = sc
-        return _topk_from_scores(scores, cand, k, tie)
-
-    def _phrase_prefix(self, q, rows, dl, mask, k, tie=None):
-        """match_phrase_prefix scoring [Lucene MultiPhraseQuery public
-        semantics]: an exact phrase whose LAST slot accepts ANY term of
-        the capped prefix-expansion set — occurrence positions for the
-        last slot are the UNION of the expansion terms' positions; tf =
-        phrase-occurrence count; idf_sum (precomputed at prepare time
-        from GLOBAL stats: literal idfs in position order + expansion
-        idfs term-ascending) scales the shared tf-part."""
-        from opensearch_jvector_ray.postings import decode_positions
-        lits = q["lit_terms"]
-        exps = [e for e in q["exp_terms"] if e in rows]
-        if any(t not in rows for t in lits) or not exps:
-            return (np.zeros(0, dtype=np.int64),
-                    np.zeros(0, dtype=np.float64))
-
-        def _decode(t):
-            r = rows[t]
-            ords, tfs = decode_posting_list(
-                r["ords_enc"], r["tfs_enc"],
-                codec=self.p.get("codec", "varint"), df=r["df"],
-                block_size=self.p.get("block_size", 128),
-                blk_n=r.get("blk_n"))
-            flat, offs = decode_positions(r["pos_enc"], tfs)
-            return ords, flat, offs
-
-        lit_data = [_decode(t) for t in lits]
-        exp_data = [_decode(e) for e in exps]
-        n_lit = len(lits)
-        # docs containing every literal AND >= 1 expansion term
-        exp_docs = np.unique(np.concatenate([d[0] for d in exp_data]))
-        common = exp_docs
-        for ords, _, _ in lit_data:
-            common = common[np.isin(common, ords, assume_unique=True)]
-        if mask is not None and len(common):
-            common = common[mask[common]]
-        cand_ords, cand_tf = [], []
-        for o in common.tolist():
-            occ = None
-            for j, (ords, flat, offs) in enumerate(lit_data):
-                i = int(np.searchsorted(ords, o))
-                pos = flat[offs[i]:offs[i + 1]] - j
-                occ = pos if occ is None else np.intersect1d(
-                    occ, pos, assume_unique=True)
-                if len(occ) == 0:
-                    break
-            if occ is not None and len(occ) == 0:
-                continue
-            last_parts = []
-            for ords, flat, offs in exp_data:
-                i = int(np.searchsorted(ords, o))
-                if i < len(ords) and ords[i] == o:
-                    last_parts.append(flat[offs[i]:offs[i + 1]] - n_lit)
-            if not last_parts:
-                continue
-            last = np.unique(np.concatenate(last_parts))
-            occ = last if occ is None else np.intersect1d(
-                occ, last, assume_unique=True)
-            if len(occ):
-                cand_ords.append(o)
-                cand_tf.append(len(occ))
-        if not cand_ords:
-            return (np.zeros(0, dtype=np.int64),
-                    np.zeros(0, dtype=np.float64))
-        cand_ords = np.array(cand_ords, dtype=np.int64)
-        tf = np.array(cand_tf, dtype=np.float64)
-        sc = q["idf_sum"] * bm25_tf_part(tf, dl[cand_ords], self.avgdl,
-                                         self.k1, self.b)
-        scores = np.zeros(len(dl), dtype=np.float64)
-        scores[cand_ords] = sc
-        return _topk_from_scores(scores, cand_ords, k, tie)
+    # mode -> kernel of the positional family; ``_postings`` hands these
+    # modes position slots
+    _POSITIONAL = {
+        "phrase": _span_ordered, "span_ordered": _span_ordered,
+        "phrase_prefix": _phrase_prefix, "span": _span_near,
+        "span_or": _span_or_near, "span_containing": _span_containing,
+        "span_within": _span_within, "span_not": _span_not,
+        "span_first": _span_first, "sqs": _sqs,
+    }
 
     def _taat_groups(self, groups, decoded, dl, mask, k, tie=None):
         """Synonym-group scoring [Lucene SynonymQuery public semantics]:
@@ -2622,9 +2343,6 @@ def _positions_for_segment(seg_dir: str, p: dict) -> pa.Table | None:
     the highlight fetch (the J4 hit->source pattern applied to the
     positions sidecar).  The hit set is k*queries rows, so the per-hit
     loop is bounded by the RESULT size, never the corpus."""
-    from opensearch_jvector_ray.postings import (
-        decode_positions, decode_posting_list,
-    )
     key_cols = p["key_cols"]
     docs = pq.read_table(os.path.join(seg_dir, DOCS_NAME),
                          columns=list(key_cols)).to_pandas()
@@ -2633,20 +2351,8 @@ def _positions_for_segment(seg_dir: str, p: dict) -> pa.Table | None:
     m = hitdf.merge(docs, on=list(key_cols))
     if m.empty:
         return None
-    postings = pq.read_table(os.path.join(seg_dir, POSTINGS_NAME),
-                             filters=[("term", "in", p["union"])])
-    term_data: dict[str, tuple] = {}
-    has_blk = "blk_n" in postings.column_names
-    for i in range(postings.num_rows):
-        t = postings["term"][i].as_py()
-        tfs_pair = decode_posting_list(
-            postings["ords_enc"][i].as_py(), postings["tfs_enc"][i].as_py(),
-            codec=p["codec"], df=postings["df"][i].as_py(),
-            block_size=p["block_size"],
-            blk_n=postings["blk_n"][i].as_py() if has_blk else None)
-        ords, tfs = tfs_pair
-        flat, offs = decode_positions(postings["pos_enc"][i].as_py(), tfs)
-        term_data[t] = (ords, flat, offs)
+    term_data = _read_positions(os.path.join(seg_dir, POSTINGS_NAME),
+                                p["union"], p["codec"], p["block_size"])
     out_q: list[str] = []
     out_key: dict[str, list] = {kc: [] for kc in key_cols}
     out_t: list[str] = []

@@ -35,8 +35,8 @@ import ray
 
 from opensearch_jvector_ray.config import EngineConfig
 from opensearch_jvector_ray.query import (
-    _LAZY_DECODE_MODES, IndexSearcher, SegmentSearcher, _doc_arrays,
-    _read_decoded, _sparse_term_weights,
+    IndexSearcher, SegmentSearcher, _doc_arrays, _read_decoded,
+    _sparse_term_weights,
 )
 from opensearch_jvector_ray.state.manifest import (
     CONFIG_NAME, DOCS_NAME, POSTINGS_NAME, SEGMENTS_DIR, STATS_NAME, read_json,
@@ -46,9 +46,9 @@ from opensearch_jvector_ray.state.manifest import (
 class _CachedSegmentSearcher(SegmentSearcher):
     """The segment kernel reading through a shard actor's caches: the
     resident docs, and the decoded-postings LRU for the modes that only
-    consume decoded (ords, tfs).  The positional and WAND modes read
-    raw rows from disk, as the cold tasks do; so does sqs, whose phrase
-    clauses read positions."""
+    consume decoded (ords, tfs).  The positional family (phrase, span,
+    sqs: position slots, each term decoded once per call) and WAND
+    (raw rows) read postings from disk, as the cold tasks do."""
 
     def __init__(self, payload: dict, shard: "SegmentShardActor"):
         super().__init__(payload)
@@ -59,9 +59,9 @@ class _CachedSegmentSearcher(SegmentSearcher):
         return seg["docs"], seg["dl"], seg["tie"]
 
     def _postings(self, seg_dir: str, terms: Sequence[str], mode: str):
-        if mode in _LAZY_DECODE_MODES or mode == "sqs":
+        if mode in self._POSITIONAL or mode == "wand":
             return super()._postings(seg_dir, terms, mode)
-        return {}, self.shard._postings_for(seg_dir, terms)
+        return self.shard._postings_for(seg_dir, terms)
 
 
 @ray.remote

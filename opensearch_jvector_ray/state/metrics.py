@@ -21,6 +21,10 @@ import pandas as pd
 import ray
 
 METRICS_ACTOR_NAME = "ojr_metrics"
+# the counters actor is detached: it lives in this one fixed namespace,
+# so every driver session on a cluster (anonymous namespace or not)
+# finds the same actor instead of starting, and leaking, its own
+METRICS_NAMESPACE = "ojr"
 
 # counter names (StatNames.java:15-47 analog)
 QUERY_REQUESTS = "query_requests"
@@ -50,13 +54,15 @@ class _MetricsActor:
 def get_metrics_actor():
     """Get-or-create the named counters actor (no-op safe on workers)."""
     try:
-        return ray.get_actor(METRICS_ACTOR_NAME)
+        return ray.get_actor(METRICS_ACTOR_NAME, namespace=METRICS_NAMESPACE)
     except ValueError:
         try:
             return _MetricsActor.options(name=METRICS_ACTOR_NAME,
+                                         namespace=METRICS_NAMESPACE,
                                          lifetime="detached").remote()
         except ValueError:          # lost the creation race
-            return ray.get_actor(METRICS_ACTOR_NAME)
+            return ray.get_actor(METRICS_ACTOR_NAME,
+                                 namespace=METRICS_NAMESPACE)
 
 
 _ACTOR_CACHE = None   # per-process handle: get_metrics_actor() is a

@@ -101,6 +101,23 @@ def test_metrics_counters():
     assert snap.get("wand_docs_evaluated", 0) > 0
 
 
+def test_metrics_actor_lives_in_a_fixed_namespace():
+    """The detached counters actor is created and found in one fixed
+    namespace, so a driver whose session has an anonymous namespace
+    (this test session's) shares it instead of starting its own."""
+    import time
+
+    import ray
+    metrics.incr({"namespace_probe": 3})
+    actor = ray.get_actor(metrics.METRICS_ACTOR_NAME,
+                          namespace=metrics.METRICS_NAMESPACE)
+    deadline = time.monotonic() + 30
+    while ray.get(actor.snapshot.remote()).get("namespace_probe", 0) < 3:
+        assert time.monotonic() < deadline, "counter update never landed"
+        time.sleep(0.1)
+    assert metrics.snapshot().get("namespace_probe", 0) >= 3
+
+
 def test_engine_stats():
     idx = transcripts_index(SF)
     es = metrics.engine_stats(idx, include_timings=True)

@@ -52,7 +52,7 @@ def _brute(mode: str, little: str, big: list[str], slop: int
            ) -> dict[int, float]:
     """Positions 0-based; a cell s is valid iff window [s-W+1, s]
     contains every big term (W = n_big + slop) — the engine's
-    _span_window_score rule."""
+    window-cover rule (query._window_cells)."""
     W = len(big) + slop
     res = {}
     for i, tk in enumerate(TOKS):
@@ -149,15 +149,25 @@ def _brute_ordered(words: list[str], slop: int) -> dict[int, float]:
     return res
 
 
-@pytest.mark.parametrize("q,slop", [("alpha beta", 1), ("gamma delta", 2),
-                                    ("eps zeta eta", 3),
-                                    ("alpha alpha", 2)])
-def test_span_ordered_brute_force(idx, q, slop):
+# an exact phrase is the ordered chain at slop 0 ("alpha alpha" has
+# overlapping occurrences)
+ORDERED_CASES = [("alpha beta", 1, "span_ordered"),
+                 ("gamma delta", 2, "span_ordered"),
+                 ("eps zeta eta", 3, "span_ordered"),
+                 ("alpha alpha", 2, "span_ordered"),
+                 ("alpha alpha", 0, "phrase"), ("alpha beta", 0, "phrase"),
+                 ("eps zeta eta", 0, "phrase")]
+
+
+@pytest.mark.parametrize("q,slop,mode", ORDERED_CASES, ids=[
+    f"{q}-{slop}" + ("" if mode == "span_ordered" else f"-{mode}")
+    for q, slop, mode in ORDERED_CASES])
+def test_span_ordered_brute_force(idx, q, slop, mode):
     s = IndexSearcher(idx)
     words = q.split()
     want = _brute_ordered(words, slop)
     assert want, f"degenerate case {q!r}"
-    out = s.search({"q": q}, k=N, mode="span_ordered", slop=slop)
+    out = s.search({"q": q}, k=N, mode=mode, slop=slop)
     got = {int(d): round(float(v), 6)
            for d, v in zip(out["doc_id"], out["score"])}
     assert got == want
