@@ -5,9 +5,10 @@ reference plugin (sam-herman/opensearch-jvector, a fork of the OpenSearch
 k-NN plugin) rides on: segment-oriented inverted-index build, segment
 merge, compressed posting lists with block-max metadata, Okapi BM25
 top-k with block-max WAND, filtered search, two-pass rescore, stats —
-rebuilt idiomatically on `ray.data.Dataset` pipelines (map_batches over
-zero-copy Arrow batches, groupby/map_groups for the partition build,
-actor pools for stateful query scorers).
+rebuilt idiomatically on `ray.data.Dataset` pipelines for build and
+merge (map_batches over zero-copy Arrow batches, groupby/map_groups for
+the partition build); queries fan out as plain Ray tasks, or to
+long-lived shard actors when served.
 
 Reference lifecycle parity (see SURVEY.md §2/§3 for the full inventory):
   - segment flush  -> stages/build.py   (JVectorWriter.flush, JVectorWriter.java:198-250)

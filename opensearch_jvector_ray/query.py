@@ -40,7 +40,7 @@ import pyarrow.dataset as ds
 import pyarrow.fs as pafs
 import pyarrow.parquet as pq
 
-import ray.data as rd
+import ray
 
 from opensearch_jvector_ray.analyze import query_term_weights
 from opensearch_jvector_ray.config import EngineConfig
@@ -1283,26 +1283,37 @@ def _topk_from_scores(scores: np.ndarray, candidates: np.ndarray,
 
 _PARQUET = ds.ParquetFileFormat()
 _LOCAL_FS = pafs.LocalFileSystem()
+# the per-block skip data ``_TermCursor`` reads besides the encoded lists
+_BLOCK_MAX_COLS = ("blk_last_ord", "blk_off_ord", "blk_off_tf", "blk_max_tf",
+                   "blk_min_dl")
+
+
+def _read_columns(path: str, terms: Sequence[str], cols: Sequence[str],
+                  has_bn: bool | None = None) -> dict[str, list]:
+    """column -> values of the ``terms`` rows of one postings file, for
+    ``term``, ``df``, ``ords_enc``, ``tfs_enc``, ``cols`` and ``blk_n``
+    when present.  Bulk-merged segments carry irregular block sizes
+    (``blk_n``) that the pfor decoder MUST consult — decoding a
+    bulk-merged pfor run without them silently corrupts ordinals;
+    ``has_bn=None`` detects the column from the file schema.  The file
+    is read as one fragment: no dataset discovery per call."""
+    frag = _PARQUET.make_fragment(path, filesystem=_LOCAL_FS)
+    if has_bn is None:
+        has_bn = "blk_n" in frag.physical_schema.names
+    cols = ["term", "df", "ords_enc", "tfs_enc", *cols] + (
+        ["blk_n"] if has_bn else [])
+    tbl = frag.to_table(columns=cols, filter=pc.field("term").isin(
+        pa.array(list(terms), type=pa.string())))
+    return {n: tbl[n].to_pylist() for n in cols}
 
 
 def _read_rows(path: str, terms: Sequence[str], codec: str, block_size: int,
                extra: Sequence[str] = (), has_bn: bool | None = None
                ) -> list[tuple]:
     """(term, (ords, tfs), *``extra`` column values) of every ``terms``
-    row of one postings file.  Bulk-merged segments carry irregular
-    block sizes (``blk_n``) that the pfor decoder MUST consult —
-    decoding a bulk-merged pfor run without them silently corrupts
-    ordinals; ``has_bn=None`` detects the column from the file schema.
-    The file is read as one fragment: no dataset discovery per call."""
-    frag = _PARQUET.make_fragment(path, filesystem=_LOCAL_FS)
-    if has_bn is None:
-        has_bn = "blk_n" in frag.physical_schema.names
-    cols = ["term", "df", "ords_enc", "tfs_enc", *extra] + (
-        ["blk_n"] if has_bn else [])
-    tbl = frag.to_table(columns=cols, filter=pc.field("term").isin(
-        pa.array(list(terms), type=pa.string())))
-    c = {n: tbl[n].to_pylist() for n in cols}
-    bn = c["blk_n"] if has_bn else [None] * tbl.num_rows
+    row of one postings file (see ``_read_columns``)."""
+    c = _read_columns(path, terms, extra, has_bn)
+    bn = c.get("blk_n", [None] * len(c["term"]))
     return [(t, decode_posting_list(c["ords_enc"][i], c["tfs_enc"][i],
                                     codec=codec, df=c["df"][i],
                                     block_size=block_size, blk_n=bn[i]),
@@ -1496,7 +1507,7 @@ class SegmentSearcher:
     """The per-segment BM25 kernel: scores every query of the payload
     against each segment named in a ``seg_dir`` batch (the reference's
     per-segment reader, S5, `JVectorReader.java:42-331`).  Cold searches
-    run it in stateless Ray Data tasks (``IndexSearcher._map_segments``);
+    run it in stateless Ray tasks (``IndexSearcher._map_segments``);
     ``serve.SearchService`` actors run a subclass whose two read hooks,
     ``_open_docs`` and ``_postings``, serve cached docs and decoded
     posting lists."""
@@ -1555,12 +1566,9 @@ class SegmentSearcher:
             return _read_positions(path, terms, codec, block_size)
         if mode != "wand":
             return _read_decoded(path, terms, codec, block_size)
-        postings = pq.read_table(path, filters=[("term", "in", list(terms))])
-        rows: dict[str, dict] = {}
-        for i in range(postings.num_rows):
-            rows[postings["term"][i].as_py()] = {
-                c: postings[c][i].as_py() for c in postings.column_names}
-        return rows
+        c = _read_columns(path, terms, _BLOCK_MAX_COLS)
+        return {t: {n: v[i] for n, v in c.items()}
+                for i, t in enumerate(c["term"])}
 
     def _search_segment(self, seg_dir: str) -> pa.Table | None:
         p = self.p
@@ -2180,6 +2188,43 @@ class SegmentSearcher:
         return _topk_from_scores(scores, candidates, k, tie)
 
 
+# ---------------------------------------------------------------------------
+# query-time fan-out
+# ---------------------------------------------------------------------------
+
+@ray.remote
+def _run_task(fn: Callable[..., pa.Table], batch: pa.Table,
+              kw: dict) -> pa.Table:
+    return fn(batch, **kw)
+
+
+def _fan_out(fn: Callable[..., pa.Table], items: Sequence[dict],
+             concurrency: int | None = None, **kw) -> list[pa.Table]:
+    """Run ``fn(batch, **kw)`` as plain Ray tasks, one per item (a
+    ``{"seg_dir": d}`` row, or a per-field slot of segment dirs), and
+    return the tables in item order.  ``kw`` is put in the object store
+    once for all tasks.  ``concurrency`` caps the task count: the items
+    split into that many contiguous batches (None or 0: no cap).
+
+    Plain tasks, because a query's kernel work is less than what a Ray
+    Data dataset costs to plan and start (~25 vs ~70 ms per call on a
+    2-segment, 36k-turn index, one CPU), and because an idle actor pool
+    would hold CPUs the serving actors need.  Build and merge, which stream the corpus,
+    stay on Ray Data."""
+    items = list(items)
+    if concurrency is not None and concurrency < 0:
+        raise ValueError(f"concurrency must be >= 1, or None/0 for one "
+                         f"task per item; got {concurrency}")
+    if not items:
+        return []
+    n = min(concurrency or len(items), len(items))
+    cuts = [len(items) * i // n for i in range(n + 1)]
+    kw_ref = ray.put(kw)
+    return ray.get([
+        _run_task.remote(fn, pa.Table.from_pylist(items[lo:hi]), kw_ref)
+        for lo, hi in zip(cuts, cuts[1:])])
+
+
 def _search_segments_task(batch: pa.Table, payload: dict) -> pa.Table:
     """Stateless per-task wrapper around SegmentSearcher."""
     return SegmentSearcher(payload)(batch)
@@ -2234,19 +2279,9 @@ def _docs_stats_task(batch: pa.Table, field: str) -> pa.Table:
 def _mget_task(batch: pa.Table, flt) -> pa.Table:
     """Pushed-down sidecar read for mget's many-segment fan-out: only
     rows matching the key filter leave the task (result-sized)."""
-    parts = []
-    schema = None
-    for d in batch["seg_dir"].to_pylist():
-        t = pq.read_table(os.path.join(d, DOCS_NAME), filters=flt)
-        t = t.append_column("__seg", pa.array([d] * t.num_rows,
-                                              type=pa.string()))
-        schema = t.schema
-        if t.num_rows:
-            parts.append(t)
-    if not parts:
-        # schema-stable empty output (block schemas must agree)
-        return schema.empty_table() if schema is not None             else pa.table({})
-    return pa.concat_tables(parts)
+    return pa.concat_tables([
+        pq.read_table(os.path.join(d, DOCS_NAME), filters=flt)
+        for d in batch["seg_dir"].to_pylist()])
 
 
 def _field_stats_task(batch: pa.Table, fields: list[str]) -> pa.Table:
@@ -2467,17 +2502,22 @@ class IndexSearcher:
     def _map_segments(self, payload: dict,
                       concurrency: int | None = None) -> list[pd.DataFrame]:
         """Run the segment kernel over every segment of ``self.seg_dirs``
-        and return the per-segment partial frames.  Stateless task
-        fan-out: one-shot searches pay no actor spin-up (~2-5x faster
-        cold); the payload is tiny and pickles per task.  Persistent
-        serving with warm caches overrides this (serve.SearchService)."""
-        seg_ds = rd.from_items([{"seg_dir": d} for d in self.seg_dirs])
-        extra = {"concurrency": concurrency} if concurrency else {}
-        hits = seg_ds.map_batches(
-            _search_segments_task, fn_kwargs={"payload": payload},
-            batch_format="pyarrow", batch_size=1, **extra)
-        return [b.to_pandas()
-                for b in hits.iter_batches(batch_format="pyarrow")]
+        and return the per-segment partial frames (per task batch when
+        ``concurrency`` caps the tasks), each with the kernel's schema
+        even when empty.  Stateless task fan-out (``_fan_out``):
+        one-shot searches pay no actor spin-up and hold no CPU between
+        calls.  Persistent serving with warm caches overrides this
+        (serve.SearchService)."""
+        return self._fan_segments(_search_segments_task, concurrency,
+                                  payload=payload)
+
+    def _fan_segments(self, fn: Callable[..., pa.Table],
+                      concurrency: int | None = None, **kw
+                      ) -> list[pd.DataFrame]:
+        """``fn`` over every segment of ``self.seg_dirs`` (``_fan_out``),
+        as pandas frames in segment order."""
+        return [t.to_pandas() for t in _fan_out(
+            fn, [{"seg_dir": d} for d in self.seg_dirs], concurrency, **kw)]
 
     # -- multi-term expansion (the Lucene MultiTermQuery rewrite family) --
     def expand_prefix(self, prefix: str, max_expansions: int = 50,
@@ -3943,15 +3983,9 @@ class IndexSearcher:
         postings touched); the one avg division happens on the driver,
         bit-equal to the oracle's sum::DOUBLE / count::DOUBLE."""
         cols = ["doc_count", "v_sum", "v_min", "v_max", "v_avg"]
-        if not self.seg_dirs:
-            return pd.DataFrame(columns=cols)
-        seg_ds = rd.from_items([{"seg_dir": d} for d in self.seg_dirs])
-        out = seg_ds.map_batches(_docs_stats_task,
-                                 fn_kwargs={"field": value_col},
-                                 batch_format="pyarrow", batch_size=1)
-        frames = [b.to_pandas()
-                  for b in out.iter_batches(batch_format="pyarrow")]
-        frames = [f for f in frames if not f.empty]
+        frames = [f for f in self._fan_segments(_docs_stats_task,
+                                                field=value_col)
+                  if not f.empty]
         if not frames:
             return pd.DataFrame(columns=cols)
         df = pd.concat(frames, ignore_index=True)
@@ -3982,32 +4016,15 @@ class IndexSearcher:
             # many segments: fan the pushed-down reads out as Ray tasks
             # (a driver-serial loop would pay O(segments) read latency —
             # the 100k-segment shape); each task returns only matching
-            # rows, so the gather is result-sized.  Rows carry their
-            # segment dir and the combine sorts on it BEFORE the
-            # duplicate-key drop — task completion order is arbitrary
-            # (preserve_order defaults off), and the first-segment
-            # duplicate rule must not depend on it
-            seg_ds = rd.from_items([{"seg_dir": d}
-                                    for d in self.seg_dirs])
-            out_t = seg_ds.map_batches(_mget_task,
-                                       fn_kwargs={"flt": flt},
-                                       batch_format="pyarrow",
-                                       batch_size=1)
-            parts = [b.to_pandas() for b in
-                     out_t.iter_batches(batch_format="pyarrow")
-                     if b.num_rows]
-            if parts:
-                allp = pd.concat(parts, ignore_index=True)
-                allp = allp.sort_values("__seg",
-                                        kind="mergesort")
-                parts = [allp.drop(columns="__seg")]
+            # rows, so the gather is result-sized.  ``_fan_out`` keeps
+            # segment order, so the first-segment duplicate rule holds
+            # as in the serial loop
+            parts = self._fan_segments(_mget_task, flt=flt)
         else:
-            parts = []
-            for d in self.seg_dirs:
-                t = pq.read_table(os.path.join(d, DOCS_NAME),
-                                  filters=flt)
-                if t.num_rows:
-                    parts.append(t.to_pandas())
+            parts = [pq.read_table(os.path.join(d, DOCS_NAME),
+                                   filters=flt).to_pandas()
+                     for d in self.seg_dirs]
+        parts = [f for f in parts if not f.empty]
         req = pd.DataFrame(norm, columns=list(self.key_cols))
         req["__order"] = np.arange(len(req), dtype=np.int64)
         if parts:
@@ -4054,15 +4071,9 @@ class IndexSearcher:
             return pd.DataFrame(columns=cols)
         parent_col = self.key_cols[0]
         norm = {qid: sorted(set(v)) for qid, v in parents.items()}
-        seg_ds = rd.from_items([{"seg_dir": d} for d in self.seg_dirs])
-        out = seg_ds.map_batches(_children_terms_task,
-                                 fn_kwargs={"parents": norm,
-                                            "parent_col": parent_col,
-                                            "field": field},
-                                 batch_format="pyarrow", batch_size=1)
-        frames = [b.to_pandas()
-                  for b in out.iter_batches(batch_format="pyarrow")]
-        frames = [f for f in frames if not f.empty]
+        frames = [f for f in self._fan_segments(
+            _children_terms_task, parents=norm, parent_col=parent_col,
+            field=field) if not f.empty]
         if not frames:
             return pd.DataFrame(columns=cols)
         df = (pd.concat(frames, ignore_index=True)
@@ -4106,15 +4117,9 @@ class IndexSearcher:
         segment ships a 3-number partial per field; the driver combine
         is fields x segments-sized."""
         cols = ["field", "type", "doc_count", "min_value", "max_value"]
-        if not self.seg_dirs:
-            return pd.DataFrame(columns=cols)
-        seg_ds = rd.from_items([{"seg_dir": d} for d in self.seg_dirs])
-        out = seg_ds.map_batches(_field_stats_task,
-                                 fn_kwargs={"fields": list(fields)},
-                                 batch_format="pyarrow", batch_size=1)
-        frames = [b.to_pandas()
-                  for b in out.iter_batches(batch_format="pyarrow")]
-        frames = [f for f in frames if not f.empty]
+        frames = [f for f in self._fan_segments(_field_stats_task,
+                                                fields=list(fields))
+                  if not f.empty]
         if not frames:
             return pd.DataFrame(columns=cols)
         df = pd.concat(frames, ignore_index=True)
@@ -4781,13 +4786,9 @@ class IndexSearcher:
         """Corpus-wide value counts of a stored doc column: one task per
         segment reads ONLY that column from the docs sidecar (no
         postings touched) and ships value-count partials."""
-        seg_ds = rd.from_items([{"seg_dir": d} for d in self.seg_dirs])
-        out = seg_ds.map_batches(_docs_value_counts_task,
-                                 fn_kwargs={"field": field},
-                                 batch_format="pyarrow", batch_size=1)
-        frames = [b.to_pandas()
-                  for b in out.iter_batches(batch_format="pyarrow")]
-        frames = [f for f in frames if not f.empty]
+        frames = [f for f in self._fan_segments(_docs_value_counts_task,
+                                                field=field)
+                  if not f.empty]
         if not frames:
             return pd.DataFrame(columns=[field, "bg_count"])
         df = pd.concat(frames, ignore_index=True)
@@ -5444,16 +5445,14 @@ class IndexSearcher:
             payload["search_after"] = {
                 qid: {"score": float(t[0]), "key": list(t[1:])}
                 for qid, t in search_after.items() if qid in queries}
-        if not union or not self.seg_dirs:
-            if sort is not None:
-                return self._finalize_sorted(pd.DataFrame(
-                    columns=["query_id", *self.key_cols, sort[0], "score"]),
-                    k, sort[0], sort[1] == "desc")
-            return self._finalize(pd.DataFrame(
-                columns=["query_id", *self.key_cols, "score"]), k, collapse_col,
-                cap_k=min_score is None)
-
-        frames = self._map_segments(payload, concurrency)
+        if not self.seg_dirs:
+            frames = []
+        elif not union:
+            # no query term is in the dictionary: the kernel's typed
+            # empty partial, so the dtypes match a no-hit result's
+            frames = [SegmentSearcher(payload)._empty().to_pandas()]
+        else:
+            frames = self._map_segments(payload, concurrency)
         if sort is not None:
             df = pd.concat(frames, ignore_index=True) if frames else \
                 pd.DataFrame(columns=["query_id", *self.key_cols, sort[0],
@@ -5525,17 +5524,10 @@ class IndexSearcher:
         """Which of the given single-column key values exist in the
         index (per-segment pushed-down IN probe)."""
         kc = self.key_cols[0]
-        if not self.seg_dirs:
-            return set()
-        seg_ds = rd.from_items([{"seg_dir": d} for d in self.seg_dirs])
-        out = seg_ds.map_batches(_keys_present_task,
-                                 fn_kwargs={"field": kc,
-                                            "ids": list(ids)},
-                                 batch_format="pyarrow", batch_size=1)
-        vals: set = set()
-        for b in out.iter_batches(batch_format="pyarrow"):
-            vals.update(b[kc].to_pylist())
-        return vals
+        return {v for t in _fan_out(_keys_present_task,
+                                    [{"seg_dir": d} for d in self.seg_dirs],
+                                    field=kc, ids=list(ids))
+                for v in t[kc].to_pylist()}
 
     def explain(self, queries: dict[str, str], k: int | None = None,
                 **search_kwargs) -> pd.DataFrame:
@@ -5938,13 +5930,9 @@ class IndexSearcher:
             "key_types": [(kc, docs_schema.field(kc).type)
                           for kc in self.key_cols],
         }
-        seg_ds = rd.from_items([{"seg_dir": d} for d in self.seg_dirs])
-        out = seg_ds.map_batches(_positions_task,
-                                 fn_kwargs={"payload": payload},
-                                 batch_format="pyarrow", batch_size=1)
-        frames = [b.to_pandas()
-                  for b in out.iter_batches(batch_format="pyarrow")]
-        frames = [f for f in frames if not f.empty]
+        frames = [f for f in self._fan_segments(_positions_task,
+                                                payload=payload)
+                  if not f.empty]
         if not frames:
             return pd.DataFrame(columns=cols)
         df = pd.concat(frames, ignore_index=True)
@@ -5956,8 +5944,6 @@ class IndexSearcher:
         (field dir, key asc) — the same A1 shape, different order key."""
         out_cols = ["query_id", "rank", *self.key_cols, field, "score"]
         if df.empty:
-            df = pd.DataFrame(columns=["query_id", *self.key_cols, field,
-                                       "score"])
             df["rank"] = pd.Series(dtype="int64")
             return df[out_cols]
         df = df.sort_values(
@@ -6405,15 +6391,9 @@ def combined_fields(searchers: dict[str, "IndexSearcher"],
     fmt = {f: {"codec": searchers[f].cfg.codec,
                "block_size": searchers[f].cfg.block_size}
            for f in fields}
-    slot_ds = rd.from_items(slots)
-    extra = {"concurrency": concurrency} if concurrency else {}
-    stats_out = slot_ds.map_batches(
-        _cf_stats_task,
-        fn_kwargs={"fields": fields, "weights": w,
-                   "union_terms": union, "fmt": fmt},
-        batch_format="pyarrow", batch_size=1, **extra)
-    sframes = [b.to_pandas()
-               for b in stats_out.iter_batches(batch_format="pyarrow")]
+    sframes = [t.to_pandas() for t in _fan_out(
+        _cf_stats_task, slots, concurrency, fields=fields, weights=w,
+        union_terms=union, fmt=fmt)]
     sframes = [x for x in sframes if not x.empty]
     if not sframes:
         return empty
@@ -6445,11 +6425,8 @@ def combined_fields(searchers: dict[str, "IndexSearcher"],
         "key_types": [(kc, docs_schema.field(kc).type)
                       for kc in key_cols],
     }
-    score_out = slot_ds.map_batches(
-        _cf_score_task, fn_kwargs={"payload": payload},
-        batch_format="pyarrow", batch_size=1, **extra)
-    frames = [b.to_pandas()
-              for b in score_out.iter_batches(batch_format="pyarrow")]
+    frames = [t.to_pandas() for t in _fan_out(
+        _cf_score_task, slots, concurrency, payload=payload)]
     frames = [x for x in frames if not x.empty]
     df = pd.concat(frames, ignore_index=True) if frames else \
         pd.DataFrame(columns=["query_id", *key_cols, "score"])
@@ -6528,17 +6505,10 @@ def multi_match(searchers: dict[str, "IndexSearcher"],
                 "first_pass_k": s.cfg.first_pass_k,
                 "min_score": 1e-300,
             }
-        seg_ds = rd.from_items([dict(slot) for slot in slots])
-        extra = {"concurrency": concurrency} if concurrency else {}
-        hits = seg_ds.map_batches(
-            _mm_fused_task,
-            fn_kwargs={"payloads": payloads, "fields": fields,
-                       "match_type": match_type,
-                       "tie_breaker": tie_breaker, "k": k,
-                       "key_cols": list(key_cols)},
-            batch_format="pyarrow", batch_size=1, **extra)
-        frames = [b.to_pandas()
-                  for b in hits.iter_batches(batch_format="pyarrow")]
+        frames = [t.to_pandas() for t in _fan_out(
+            _mm_fused_task, slots, concurrency, payloads=payloads,
+            fields=fields, match_type=match_type, tie_breaker=tie_breaker,
+            k=k, key_cols=list(key_cols))]
         df = pd.concat(frames, ignore_index=True) if frames else empty
         if df.empty:
             out = empty.copy()

@@ -1,7 +1,7 @@
 """Persistent query service: long-lived segment-searcher actors.
 
-``IndexSearcher.search`` runs one stateless Ray Data task per segment
-per call — right for one-shot and batch searches, wasteful for query
+``IndexSearcher.search`` runs one stateless Ray task per segment per
+call — right for one-shot and batch searches, wasteful for query
 serving.  ``SearchService`` is the serving shape: N named actors, each
 owning a static subset of segments, created once and reused across
 searches.  Each actor keeps hot state in memory:

@@ -101,6 +101,11 @@ def test_warm_cold_parity_on_bulk_merged_index(merged):
     ms = 1e-9
     try:
         same(svc.search(QUERIES, k=12), cold.search(QUERIES, k=12))
+        # concurrency=1: all three segments in one task
+        same(cold.search(QUERIES, k=12, concurrency=1),
+             cold.search(QUERIES, k=12))
+        with pytest.raises(ValueError, match="concurrency"):
+            cold.search(QUERIES, k=12, concurrency=-1)
         same(svc.search(QUERIES, k=12, filter=f),
              cold.search(QUERIES, k=12, filter=f))
         texts = {q: "" for q in tw}
@@ -165,6 +170,15 @@ def test_every_search_mode_serves_warm(merged):
         syn = {"data": ["index"]}
         same(warm.synonym_search(QUERIES, syn, k=12),
              cold.synonym_search(QUERIES, syn, k=12))
+        # no hits in any segment: both terms are present, never adjacent
+        # in this order (the planted phrase ends its turn)
+        none = cold.search({"n": "nebula zebra"}, k=12, mode="phrase")
+        assert none.empty
+        same(warm.search({"n": "nebula zebra"}, k=12, mode="phrase"), none)
+        # no query term in the dictionary: the same typed empty frame
+        absent = {"x": "xyzzynotaword"}
+        same(cold.search(absent, k=12), none)
+        same(warm.search(absent, k=12), none)
     finally:
         svc.shutdown()
 
