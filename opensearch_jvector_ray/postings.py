@@ -476,6 +476,39 @@ def decode_posting_list(ords_enc: bytes, tfs_enc: bytes,
     return ords, tfs
 
 
+def decode_blocks(row: dict, blocks: np.ndarray, codec: str = "varint",
+                  block_size: int = 128) -> tuple[np.ndarray, np.ndarray]:
+    """Decode the given blocks of one term's postings -> (ordinals int64
+    asc, tfs int64).  ``row`` is the term's postings row (column ->
+    value): ``df``, ``ords_enc``/``tfs_enc``, ``blk_last_ord``,
+    ``blk_off_ord``/``blk_off_tf`` and, when present, ``blk_n``;
+    ``blocks`` are sorted unique block indexes.  Each run of contiguous
+    blocks is one byte slice and one ``decode_posting_list`` call; a
+    block's first gap is relative to the previous block's last
+    ordinal."""
+    last, off_o, off_t = (row["blk_last_ord"], row["blk_off_ord"],
+                          row["blk_off_tf"])
+    bn = row.get("blk_n")
+    blocks = np.asarray(blocks, dtype=np.int64)
+    if not len(blocks):
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    cut = np.flatnonzero(np.diff(blocks) != 1) + 1
+    parts = []
+    for s, e in zip(blocks[np.r_[0, cut]].tolist(),
+                    (blocks[np.r_[cut - 1, len(blocks) - 1]] + 1).tolist()):
+        end = e < len(last)
+        n = (sum(bn[s:e]) if bn is not None
+             else min(e * block_size, row["df"]) - s * block_size)
+        ords, tfs = decode_posting_list(
+            row["ords_enc"][off_o[s]:off_o[e] if end else None],
+            row["tfs_enc"][off_t[s]:off_t[e] if end else None],
+            codec=codec, df=n, block_size=block_size,
+            blk_n=bn[s:e] if bn is not None else None)
+        parts.append((ords + (last[s - 1] if s else 0), tfs))
+    return (np.concatenate([o for o, _ in parts]),
+            np.concatenate([t for _, t in parts]))
+
+
 def decode_segment_postings(post: "pa.Table", codec: str = "varint",
                             block_size: int = 128) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Decode a whole postings table -> (term_start, p_ord, p_tf) flat

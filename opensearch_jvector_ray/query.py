@@ -17,9 +17,11 @@ The analog of the reference's query lifecycle (`SURVEY.md` §3.3):
   - two-pass rescore      -> quantized-norm first pass k' =
     clamp(k*oversample, 100, 10000), exact second pass
     (`RescoreContext.java:17-97` — O2)
-  - block-max WAND        -> ``mode="wand"`` [Lucene public semantics:
-    impacts/BMW; the reference's approx+rerank two-phase is the same
-    shape, `JVectorReader.java:154-166`]
+  - block-max WAND        -> ``mode="wand"``: per-block score bounds
+    pick the posting blocks that can hold a top-k doc, and only those
+    are decoded and scored by the one TAAT kernel [Lucene public
+    semantics: impacts/BMW; the reference's approx+rerank two-phase is
+    the same shape, `JVectorReader.java:154-166`]
 
 Scoring is float64 end-to-end; per-query term contributions are summed in
 analyzed term order, so scores are bit-stable across segmentations (the
@@ -28,7 +30,6 @@ rank-identity requirement, SURVEY §7 "hard parts").
 
 from __future__ import annotations
 
-import heapq
 import os
 from typing import Any, Callable, NamedTuple, Sequence
 
@@ -48,7 +49,7 @@ from opensearch_jvector_ray.functions.scoring import (
     bm25_idf, bm25_tf_part, quantize_doc_len,
 )
 from opensearch_jvector_ray.postings import (
-    decode_posting_list, decode_positions, varint_decode,
+    decode_blocks, decode_posting_list, decode_positions,
 )
 from opensearch_jvector_ray.state.manifest import (
     CONFIG_NAME, DOCS_NAME, POSTINGS_NAME, SEGMENTS_DIR, STATS_NAME, read_json,
@@ -58,162 +59,6 @@ from opensearch_jvector_ray.state.manifest import (
 # ---------------------------------------------------------------------------
 # per-segment scoring
 # ---------------------------------------------------------------------------
-
-class _TermCursor:
-    """Block-lazy posting-list iterator with GEQ skipping (WAND path).
-
-    Decodes one 128-posting block at a time using the per-block byte
-    offsets; ``blk_last_ord`` drives the binary-search seek, the per-block
-    (max_tf, min_dl) pair gives the block-max score upper bound.
-    """
-
-    __slots__ = ("ords_enc", "tfs_enc", "blk_last", "blk_off_o", "blk_off_t",
-                 "blk_ub", "ub", "weight_idf", "k1", "b", "avgdl",
-                 "blk_idx", "ords", "tfs", "pos", "exhausted",
-                 "codec", "block_size", "df", "term_idx", "blk_n")
-
-    def __init__(self, row: dict, weight_idf: float, k1: float, b: float,
-                 avgdl: float, codec: str = "varint", block_size: int = 128,
-                 term_idx: int = 0):
-        self.term_idx = term_idx
-        bn = row.get("blk_n")
-        self.blk_n = np.asarray(bn, dtype=np.int64) if bn is not None else None
-        self.ords_enc = row["ords_enc"]
-        self.tfs_enc = row["tfs_enc"]
-        self.codec = codec
-        self.block_size = block_size
-        self.df = int(row["df"])
-        self.blk_last = np.asarray(row["blk_last_ord"], dtype=np.int64)
-        self.blk_off_o = np.asarray(row["blk_off_ord"], dtype=np.int64)
-        self.blk_off_t = np.asarray(row["blk_off_tf"], dtype=np.int64)
-        self.weight_idf = weight_idf
-        self.k1, self.b, self.avgdl = k1, b, avgdl
-        max_tf = np.asarray(row["blk_max_tf"], dtype=np.float64)
-        min_dl = np.asarray(row["blk_min_dl"], dtype=np.float64)
-        tfp = bm25_tf_part(max_tf, min_dl, avgdl, k1, b)
-        self.blk_ub = weight_idf * tfp * (1.0 + 1e-12) + 1e-12
-        self.ub = float(self.blk_ub.max())
-        self.blk_idx = -1
-        self.exhausted = False
-        self._load_block(0)
-
-    def _load_block(self, bi: int) -> None:
-        if bi >= len(self.blk_last):
-            self.exhausted = True
-            return
-        o_end = self.blk_off_o[bi + 1] if bi + 1 < len(self.blk_off_o) else len(self.ords_enc)
-        t_end = self.blk_off_t[bi + 1] if bi + 1 < len(self.blk_off_t) else len(self.tfs_enc)
-        if self.codec == "pfor":
-            from opensearch_jvector_ray.postings import for_unpack_block
-            if self.blk_n is not None:      # bulk-merged: irregular blocks
-                n_blk = int(self.blk_n[bi])
-            else:
-                n_blk = min(self.block_size, self.df - bi * self.block_size)
-            gaps = for_unpack_block(self.ords_enc[self.blk_off_o[bi]:o_end],
-                                    n_blk).astype(np.int64)
-            tfs = for_unpack_block(self.tfs_enc[self.blk_off_t[bi]:t_end],
-                                   n_blk).astype(np.int64)
-        else:
-            gaps = varint_decode(self.ords_enc[self.blk_off_o[bi]:o_end]).astype(np.int64)
-            tfs = varint_decode(self.tfs_enc[self.blk_off_t[bi]:t_end]).astype(np.int64)
-        base = int(self.blk_last[bi - 1]) if bi > 0 else 0
-        self.ords = base + np.cumsum(gaps)
-        self.tfs = tfs
-        self.blk_idx = bi
-        self.pos = 0
-
-    @property
-    def cur_doc(self) -> int:
-        return int(self.ords[self.pos])
-
-    @property
-    def cur_tf(self) -> int:
-        return int(self.tfs[self.pos])
-
-    def block_ub(self) -> float:
-        return float(self.blk_ub[self.blk_idx])
-
-    def next(self) -> None:
-        self.pos += 1
-        if self.pos >= len(self.ords):
-            self._load_block(self.blk_idx + 1)
-
-    def seek_geq(self, target: int) -> None:
-        """Advance to the first posting with ord >= target (block skip)."""
-        if self.exhausted or self.cur_doc >= target:
-            return
-        if self.ords[-1] < target:       # beyond current block: binary search blocks
-            bi = int(np.searchsorted(self.blk_last, target, side="left"))
-            if bi >= len(self.blk_last):
-                self.exhausted = True
-                return
-            if bi != self.blk_idx:
-                self._load_block(bi)
-            else:
-                self.pos = 0
-        self.pos = int(np.searchsorted(self.ords, target, side="left"))
-        if self.pos >= len(self.ords):   # can only happen on corrupt metadata
-            self._load_block(self.blk_idx + 1)
-
-
-def _wand_topk(cursors: list[_TermCursor], k: int, dl: np.ndarray,
-               mask: np.ndarray | None, k1: float, b: float,
-               avgdl: float, counters: dict | None = None,
-               tie: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Block-max WAND: exact top-k with (score desc, key-rank asc) ties."""
-    n_eval = 0
-    n_pruned = 0
-    heap: list[tuple[float, int, int]] = []  # (score, -tie_rank, ord) min-heap
-    live = [c for c in cursors if not c.exhausted]
-    while live:
-        live.sort(key=lambda c: c.cur_doc)
-        theta = heap[0][0] if len(heap) >= k else -np.inf
-        acc = 0.0
-        pivot_i = -1
-        for i, c in enumerate(live):
-            acc += c.ub
-            if acc >= theta:
-                pivot_i = i
-                break
-        if pivot_i < 0:
-            break
-        pivot_doc = live[pivot_i].cur_doc
-        if live[0].cur_doc == pivot_doc:
-            contrib = [c for c in live if not c.exhausted and c.cur_doc == pivot_doc]
-            allowed = mask is None or bool(mask[pivot_doc])
-            if allowed:
-                blk_ub_sum = sum(c.block_ub() for c in contrib)
-                if blk_ub_sum < theta:
-                    n_pruned += 1
-                else:                     # block-max check passed: exact score
-                    n_eval += 1
-                    d = float(dl[pivot_doc])
-                    score = 0.0
-                    # sum in ANALYZED TERM ORDER (not mutable live-list
-                    # order): ulp-identical to _taat's per-term accumulation,
-                    # so exact (score, key) ties rank identically
-                    for c in sorted(contrib, key=lambda c: c.term_idx):
-                        tf = float(c.cur_tf)
-                        score += c.weight_idf * (tf / (tf + k1 * (1.0 - b + b * d / avgdl)))
-                    rank_key = pivot_doc if tie is None else int(tie[pivot_doc])
-                    entry = (score, -rank_key, pivot_doc)
-                    if len(heap) < k:
-                        heapq.heappush(heap, entry)
-                    elif entry[:2] > heap[0][:2]:
-                        heapq.heapreplace(heap, entry)
-            for c in contrib:
-                c.next()
-        else:
-            live[0].seek_geq(pivot_doc)
-        live = [c for c in live if not c.exhausted]
-    if counters is not None:
-        counters["wand_docs_evaluated"] = counters.get("wand_docs_evaluated", 0) + n_eval
-        counters["wand_blocks_pruned"] = counters.get("wand_blocks_pruned", 0) + n_pruned
-    out = sorted(heap, key=lambda e: (-e[0], -e[1]))
-    ords = np.array([e[2] for e in out], dtype=np.int64)
-    scores = np.array([e[0] for e in out], dtype=np.float64)
-    return ords, scores
-
 
 def _levenshtein_vec(cands: Sequence[str], q: str) -> np.ndarray:
     """Unit-cost Levenshtein distance from ``q`` to every candidate term
@@ -1283,7 +1128,9 @@ def _topk_from_scores(scores: np.ndarray, candidates: np.ndarray,
 
 _PARQUET = ds.ParquetFileFormat()
 _LOCAL_FS = pafs.LocalFileSystem()
-# the per-block skip data ``_TermCursor`` reads besides the encoded lists
+# the per-block skip data WAND reads besides the encoded lists: each
+# block's last ordinal, score-bound inputs (max tf, min doc length) and
+# the byte offsets ``decode_blocks`` slices by
 _BLOCK_MAX_COLS = ("blk_last_ord", "blk_off_ord", "blk_off_tf", "blk_max_tf",
                    "blk_min_dl")
 
@@ -1556,9 +1403,9 @@ class SegmentSearcher:
         reads them: the positional family (``_POSITIONAL``) gets
         (ords, flat positions, offsets) slots, each term decoded once
         for the whole query batch; WAND gets the raw posting rows
-        (column -> value: it decodes block by block, and an up-front
-        decode would make its block skips fictional); every other mode
-        gets (ords, tfs), read without positions."""
+        (column -> value, with the per-block skip data: it decodes only
+        the blocks its bounds keep); every other mode gets (ords, tfs),
+        read without positions."""
         path = os.path.join(seg_dir, POSTINGS_NAME)
         codec = self.p.get("codec", "varint")
         block_size = self.p.get("block_size", 128)
@@ -1670,15 +1517,7 @@ class SegmentSearcher:
             if not terms:
                 continue
             if mode == "wand":
-                cursors = [_TermCursor(post[t], w * idf, self.k1, self.b,
-                                       self.avgdl,
-                                       codec=self.p.get("codec", "varint"),
-                                       block_size=self.p.get("block_size", 128),
-                                       term_idx=ti)
-                           for ti, (t, w, idf) in enumerate(terms)]
-                ords, scores = _wand_topk(cursors, q["k"], dl, mask,
-                                          self.k1, self.b, self.avgdl,
-                                          counters=self._counters, tie=tie)
+                ords, scores = self._wand(terms, post, dl, mask, q["k"], tie)
             elif mode == "boolean":
                 bmask = np.ones(len(dl), dtype=bool) if mask is None \
                     else mask.copy()
@@ -2065,6 +1904,64 @@ class SegmentSearcher:
             self._counters.get("candidates_scored", 0) + len(candidates))
         return _topk_from_scores(scores, candidates, k, tie)
 
+    def _wand(self, terms, rows, dl, mask, k, tie=None):
+        """Block-max WAND [Lucene public semantics: impacts/BMW] as a
+        block filter in front of ``_taat``: only the posting blocks that
+        can hold a top-k doc are decoded, then scored exactly.
+
+        Every term's ``blk_last_ord`` cuts the ordinal axis into
+        intervals, each inside one block per term; an interval's bound
+        is the sum of those blocks' block-max scores (max tf, min doc
+        length).  theta is the k-th score of ``_taat`` over the blocks
+        under the highest-bound intervals (their count doubling until k
+        hits come back, else theta = -inf); a partial score never
+        exceeds the exact one, so theta never exceeds the true k-th
+        score.  The result is ``_taat`` over the blocks covering every
+        interval whose bound is >= theta: a doc that can reach the top k
+        lies in such an interval with all its blocks decoded, so hits,
+        scores and ties equal plain ``_taat`` bit for bit."""
+        codec = self.p.get("codec", "varint")
+        block_size = self.p.get("block_size", 128)
+        last = [np.asarray(rows[t]["blk_last_ord"], dtype=np.int64)
+                for t, _, _ in terms]
+        cuts = np.unique(np.concatenate(last))
+        # blk[i][j]: term i's block covering interval (cuts[j-1], cuts[j]]
+        blk = [np.searchsorted(lo, cuts) for lo in last]
+        bound = np.zeros(len(cuts), dtype=np.float64)
+        for (t, w, idf), b in zip(terms, blk):
+            tfp = bm25_tf_part(rows[t]["blk_max_tf"], rows[t]["blk_min_dl"],
+                               self.avgdl, self.k1, self.b)
+            ub = w * idf * tfp * (1.0 + 1e-12) + 1e-12
+            has = b < len(ub)
+            bound[has] += ub[b[has]]
+
+        def score_blocks(keep):
+            sel = [np.unique(b[keep & (b < len(lo))])
+                   for b, lo in zip(blk, last)]
+            dec = {t: decode_blocks(rows[t], s, codec, block_size)
+                   for (t, _, _), s in zip(terms, sel)}
+            return (self._taat(terms, dec, dl, mask, k, tie=tie),
+                    sum(map(len, sel)))
+
+        theta, m = -np.inf, k
+        order = np.argsort(-bound, kind="stable")
+        while m < len(cuts):
+            keep = np.zeros(len(cuts), dtype=bool)
+            keep[order[:m]] = True
+            (ords, scores), _ = score_blocks(keep)
+            if len(ords) == k:
+                theta = scores[-1]
+                break
+            m *= 2
+        c = self._counters
+        n0 = c.get("candidates_scored", 0)
+        (ords, scores), n_dec = score_blocks(bound >= theta)
+        c["wand_blocks_pruned"] = (c.get("wand_blocks_pruned", 0)
+                                   + sum(map(len, last)) - n_dec)
+        c["wand_docs_evaluated"] = (c.get("wand_docs_evaluated", 0)
+                                    + c["candidates_scored"] - n0)
+        return ords, scores
+
     def _taat(self, terms, decoded, dl, mask, k, rescore=None, tie=None,
               min_score=None, after=None, boost=None, sort_key=None,
               sort_desc=False, neg=None, const=None, addend=None):
@@ -2376,8 +2273,10 @@ def _children_terms_task(batch: pa.Table, parents: dict,
 def _positions_for_segment(seg_dir: str, p: dict) -> pa.Table | None:
     """Matched-term positions for the hit docs living in one segment —
     the highlight fetch (the J4 hit->source pattern applied to the
-    positions sidecar).  The hit set is k*queries rows, so the per-hit
-    loop is bounded by the RESULT size, never the corpus."""
+    positions sidecar).  The per-hit loop runs over the k*queries hit
+    rows, but each query term's full position list is decoded in every
+    segment holding a hit, so the decode is bounded by the terms'
+    corpus frequency, not by the result size."""
     key_cols = p["key_cols"]
     docs = pq.read_table(os.path.join(seg_dir, DOCS_NAME),
                          columns=list(key_cols)).to_pandas()

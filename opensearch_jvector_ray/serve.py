@@ -48,7 +48,9 @@ class _CachedSegmentSearcher(SegmentSearcher):
     resident docs, and the decoded-postings LRU for the modes that only
     consume decoded (ords, tfs).  The positional family (phrase, span,
     sqs: position slots, each term decoded once per call) and WAND
-    (raw rows) read postings from disk, as the cold tasks do."""
+    (raw rows with their block skip data, so it decodes only the
+    blocks its bounds keep) read postings from disk, as the cold tasks
+    do."""
 
     def __init__(self, payload: dict, shard: "SegmentShardActor"):
         super().__init__(payload)

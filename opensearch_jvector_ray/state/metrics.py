@@ -30,6 +30,9 @@ METRICS_NAMESPACE = "ojr"
 QUERY_REQUESTS = "query_requests"
 SEGMENTS_SEARCHED = "segments_searched"
 CANDIDATES_SCORED = "candidates_scored"
+# WAND: candidates its exact pass scored, and posting blocks it never
+# decoded (a block count: the per-document WAND loop it replaced counted
+# pruned pivot documents under the same name)
 WAND_DOCS_EVALUATED = "wand_docs_evaluated"
 WAND_BLOCKS_PRUNED = "wand_blocks_pruned"
 SEGMENTS_BUILT = "segments_built"

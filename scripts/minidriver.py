@@ -1,19 +1,41 @@
 """Replica of the driver's correctness gate: runs every queries() entry
 against its oracle_sql() via DuckDB (sorted columns + sorted rows, exact
 value compare).  Usage: python scripts/minidriver.py [sf_dir] [name...]
-(optional names run only that subset of queries() entries)."""
+(optional names run only that subset of queries() entries).
+
+Column dtypes are compared by class (int, float, bool, string, datetime,
+object, ...): a class change, e.g. an int64 key upcast to float64, is a
+MISMATCH.  A width or unit difference inside one class (int32 vs int64,
+datetime64[s] vs [us]) is printed as a DTYPE note and does not fail."""
 import sys, os, traceback
 import ray, duckdb, numpy as np, pandas as pd
 ray.init(address="local", num_cpus=8, include_dashboard=False,
          ignore_reinit_error=True, logging_level="ERROR")
 from ray.data import DataContext; DataContext.get_current().enable_progress_bars=False
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 import __ray_entry__ as E
 
 SF = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.001"
 con = duckdb.connect()
 for t in ["region","nation","customer","supplier","part","orders","lineitem","events","documents","embeddings"]:
     con.sql(f"CREATE VIEW {t} AS SELECT * FROM '{SF}/{t}.parquet'")
+
+def dtype_class(col):
+    t = pd.api.types
+    if t.is_bool_dtype(col.dtype):
+        return "bool"
+    if t.is_integer_dtype(col.dtype):
+        return "int"
+    if t.is_float_dtype(col.dtype):
+        return "float"
+    if t.is_datetime64_any_dtype(col.dtype):
+        return "datetime"
+    if t.is_timedelta64_dtype(col.dtype):
+        return "timedelta"
+    if col.dtype == object or t.is_string_dtype(col.dtype):
+        inferred = t.infer_dtype(col, skipna=True)
+        return "string" if inferred in ("string", "empty") else "object"
+    return str(col.dtype)
 
 def norm(df):
     if hasattr(df, "to_pandas"): df = df.to_pandas()
@@ -40,7 +62,15 @@ for name, fn in qs.items():
             ok_schema = list(g.columns) == list(e.columns)
             ok_rows = len(g) == len(e)
             ok_vals = False
-            if ok_schema and ok_rows:
+            bad_class = []
+            if ok_schema:
+                for c in g.columns:
+                    gc, ec = dtype_class(g[c]), dtype_class(e[c])
+                    if gc != ec:
+                        bad_class.append(f"{c}: {g[c].dtype} ({gc}) vs {e[c].dtype} ({ec})")
+                    elif g[c].dtype != e[c].dtype:
+                        print(f"{name:28s} DTYPE    {c}: {g[c].dtype} vs oracle {e[c].dtype} (same class)")
+            if ok_schema and ok_rows and not bad_class:
                 try:
                     pd.testing.assert_frame_equal(g, e, check_dtype=False, atol=0, rtol=0)
                     ok_vals = True
@@ -51,7 +81,9 @@ for name, fn in qs.items():
             print(f"{name:28s} {status:8s} rows={n} oracle_rows={len(exp)} cols={list(g.columns) if not ok_schema else ''}")
             if status != "OK":
                 fails.append(name)
-                if ok_schema and ok_rows:
+                if bad_class:
+                    print("   dtype class:", "; ".join(bad_class))
+                elif ok_schema and ok_rows:
                     diff = (g != e)
                     bad_cols = [c for c in g.columns if diff[c].any()]
                     print("   bad cols:", bad_cols)

@@ -106,3 +106,14 @@ def test_pfor_bulk_merge_strategy_and_wand(tmp_path):
         c = IndexSearcher(m2).search(QUERIES, k=12, mode=mode)
         pd.testing.assert_frame_equal(a, b, atol=1e-12)
         pd.testing.assert_frame_equal(a, c, atol=1e-12)
+    # wand is taat with some blocks never decoded: on every index
+    # (bulk-merged blk_n blocks and key_rank ties included), with and
+    # without a filter, the frames are bit-identical, dtypes included
+    import pyarrow.compute as pc_
+    for d in (idx, m1, m2):
+        s = IndexSearcher(d)
+        for f in (None, pc_.field("role") == "assistant"):
+            pd.testing.assert_frame_equal(
+                s.search(QUERIES, k=12, mode="wand", filter=f),
+                s.search(QUERIES, k=12, mode="taat", filter=f),
+                check_exact=True, check_dtype=True)

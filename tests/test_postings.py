@@ -13,7 +13,8 @@ from opensearch_jvector_ray.analyze import tokenize
 from opensearch_jvector_ray.config import EngineConfig
 from opensearch_jvector_ray.functions.scoring import bm25_tf_part
 from opensearch_jvector_ray.postings import (
-    build_postings_table, decode_posting_list, decode_positions,
+    build_postings_table, decode_blocks, decode_posting_list,
+    decode_positions,
     groupwise_cumsum, groupwise_delta, varint_decode, varint_encode,
 )
 
@@ -136,6 +137,26 @@ def test_block_independent_decode_offsets():
         block_ords = base + np.cumsum(gaps)
         lo, hi = b * 128, min((b + 1) * 128, len(ords))
         assert block_ords.tolist() == ords[lo:hi].tolist()
+    # decode_blocks: any block subset (contiguous runs or not) equals
+    # those blocks cut out of the full decode, on both codecs
+    docs = [" ".join(["w"] * (i % 4 + 1)) if i % 3 else "x"
+            for i in range(1000)]
+    for codec in ("varint", "pfor"):
+        tbl, _ = build_from_texts(docs, EngineConfig(
+            block_size=16, stopwords=(), codec=codec))
+        row = tbl.to_pylist()[tbl["term"].to_pylist().index("w")]
+        ords, tfs = decode_posting_list(row["ords_enc"], row["tfs_enc"],
+                                        codec=codec, df=row["df"],
+                                        block_size=16)
+        n_blk = len(row["blk_last_ord"])
+        for blocks in ([0], [n_blk - 1], list(range(n_blk)),
+                       [1, 2, 5, 7, 8, n_blk - 1], []):
+            want = np.array([i for b in blocks for i in
+                             range(b * 16, min((b + 1) * 16, len(ords)))],
+                            dtype=np.int64)
+            got_o, got_t = decode_blocks(row, np.array(blocks), codec, 16)
+            assert got_o.tolist() == ords[want].tolist()
+            assert got_t.tolist() == tfs[want].tolist()
 
 
 def test_empty_input():

@@ -84,9 +84,9 @@ def test_sort_by_huge_integers_exact(idx, field, vals, order):
 
 
 def test_wand_parity_on_multiblock_postings(tmp_path):
-    # block_size=4 forces many posting blocks; after the lazy-decode
-    # gate WAND must still return exactly the taat ranking (it now
-    # decodes block-lazily via _TermCursor instead of the eager dict)
+    # block_size=4 forces many posting blocks; WAND, which decodes only
+    # the blocks its block-max bounds keep, must still return exactly
+    # the taat ranking
     cfg = EngineConfig(num_segments=2, block_size=4)
     n = 60
     rng = np.random.default_rng(17)
@@ -314,8 +314,8 @@ def test_geo_bounding_box_dateline():
 def test_wand_prunes_blocks_with_lazy_decode(tmp_path):
     # skewed corpus: a rare high-idf term confined to the tail of the
     # ordinal space lets WAND's block-max bound skip whole blocks of
-    # the common term; wand_blocks_pruned must actually move (the
-    # lazy-decode gate is what makes the skip a real saving)
+    # the common term; wand_blocks_pruned (blocks never decoded) must
+    # actually move, and stays within the 400 / 8 = 50 blocks there are
     from opensearch_jvector_ray.state import metrics
     cfg = EngineConfig(num_segments=1, block_size=8)
     n = 400
@@ -338,7 +338,10 @@ def test_wand_prunes_blocks_with_lazy_decode(tmp_path):
     exp = s.search({"q": "common"}, k=5, mode="taat")
     pd.testing.assert_frame_equal(got.reset_index(drop=True),
                                   exp.reset_index(drop=True))
-    assert metrics.snapshot().get("wand_blocks_pruned", 0) > 0
+    snap = metrics.snapshot()
+    assert snap.get("wand_blocks_pruned", 0) > 0
+    assert snap.get("wand_blocks_pruned", 0) <= 50
+    assert snap.get("wand_docs_evaluated", 0) < n
 
 
 def test_geo_polygon_crossing_parity():
