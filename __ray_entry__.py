@@ -1721,10 +1721,12 @@ INGEST_PIPELINE = [
 
 def _q_ingest_simulate(sf_dir: str):
     # _ingest/pipeline/_simulate: the processor chain compiled into ONE
-    # vectorized map_batches pass; returns the streaming Dataset
+    # vectorized map_batches pass; returns the Dataset in doc_id order
+    # (streaming execution yields blocks in completion order, so an
+    # unsorted result changes row order from run to run)
     from opensearch_jvector_ray.pipelines.ingest import simulate
     ds = read_table(sf_dir, "documents")
-    return simulate(ds, INGEST_PIPELINE)
+    return simulate(ds, INGEST_PIPELINE).sort("doc_id")
 
 
 def _q_ingest_transform(sf_dir: str):
@@ -1740,7 +1742,7 @@ def _q_ingest_transform(sf_dir: str):
                     "target_field": "n3"}},
         {"script": {"op": "div", "left": "n3", "right": "n_chars",
                     "target_field": "ratio"}},
-    ])
+    ]).sort("doc_id")          # the oracle's ORDER BY
 
 
 def _ingest_transform_oracle() -> str:
@@ -1757,13 +1759,12 @@ def _q_ingest_json(sf_dir: str):
     # the SAME pattern string via regexp_extract (named group = group 1)
     from opensearch_jvector_ray.pipelines.ingest import simulate
     ds = read_table(sf_dir, "events", columns=["event_id", "props"])
-    out = simulate(ds, [
+    return simulate(ds, [
         {"json_extract": {"field": "props", "key": "k",
                           "target_field": "k_val"}},
         {"convert": {"field": "k_val", "type": "integer"}},
         {"remove": {"field": "props"}},
-    ])
-    return out
+    ]).sort("event_id")        # the oracle's ORDER BY
 
 
 def _ingest_json_oracle() -> str:

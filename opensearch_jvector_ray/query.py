@@ -31,6 +31,8 @@ rank-identity requirement, SURVEY §7 "hard parts").
 from __future__ import annotations
 
 import os
+import threading
+from collections import OrderedDict
 from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -94,14 +96,13 @@ def _levenshtein_vec(cands: Sequence[str], q: str) -> np.ndarray:
     return prev[np.arange(n), lens]
 
 
-def _sig_text_scan(seg_dir: str, sig_sets: dict[str, np.ndarray],
-                   n_docs: int, codec: str, block_size: int,
-                   schema: pa.Schema) -> pa.Table | None:
+def _sig_text_scan(reader: "SegmentReader", sig_sets: dict[str, np.ndarray],
+                   n_docs: int, schema: pa.Schema) -> pa.Table | None:
     """significant_text foreground partial [OpenSearch significant_text
     public semantics — significance over the ANALYZED INDEX TERMS of
     the match set, not a stored field]: per query, per term, fg
     doc_count = |postings(term) ∩ match set|, computed by ONE scan of
-    the segment's full postings file — a vocabulary-sized loop whose
+    the segment's encoded postings — a vocabulary-sized loop whose
     body is a vectorized decode + one boolean-matrix gather for ALL
     queries at once.  Ships (query, term, count) rows with fg > 0 plus
     one fg_tot row per query under the reserved term '' key (the
@@ -118,27 +119,15 @@ def _sig_text_scan(seg_dir: str, sig_sets: dict[str, np.ndarray],
     M = np.zeros((len(qids), n_docs), dtype=bool)
     for i, q in enumerate(qids):
         M[i, sig_sets[q]] = True
-    path = os.path.join(seg_dir, POSTINGS_NAME)
-    want = [c for c in ("term", "ords_enc", "tfs_enc", "df", "blk_n")
-            if c in pq.read_schema(path).names]
-    post = pq.read_table(path, columns=want)
-    terms = post["term"].to_pylist()
-    ords_enc = post["ords_enc"].to_pylist()
-    tfs_enc = post["tfs_enc"].to_pylist()
-    dfs = post["df"].to_pylist()
-    blks = (post["blk_n"].to_pylist() if "blk_n" in post.column_names
-            else [None] * post.num_rows)
     out_q: list[str] = []
     out_t: list[str] = []
     out_c: list[int] = []
-    for i in range(post.num_rows):
-        o, _ = decode_posting_list(
-            ords_enc[i], tfs_enc[i], codec=codec, df=dfs[i],
-            block_size=block_size, blk_n=blks[i])
+    for t, row in reader.rows().items():
+        o, _ = reader.decode(row)
         cnt = M[:, o].sum(axis=1)
         for j in np.flatnonzero(cnt):
             out_q.append(qids[j])
-            out_t.append(terms[i])
+            out_t.append(t)
             out_c.append(int(cnt[j]))
     for i, q in enumerate(qids):
         out_q.append(q)
@@ -1135,60 +1124,6 @@ _BLOCK_MAX_COLS = ("blk_last_ord", "blk_off_ord", "blk_off_tf", "blk_max_tf",
                    "blk_min_dl")
 
 
-def _read_columns(path: str, terms: Sequence[str], cols: Sequence[str],
-                  has_bn: bool | None = None) -> dict[str, list]:
-    """column -> values of the ``terms`` rows of one postings file, for
-    ``term``, ``df``, ``ords_enc``, ``tfs_enc``, ``cols`` and ``blk_n``
-    when present.  Bulk-merged segments carry irregular block sizes
-    (``blk_n``) that the pfor decoder MUST consult — decoding a
-    bulk-merged pfor run without them silently corrupts ordinals;
-    ``has_bn=None`` detects the column from the file schema.  The file
-    is read as one fragment: no dataset discovery per call."""
-    frag = _PARQUET.make_fragment(path, filesystem=_LOCAL_FS)
-    if has_bn is None:
-        has_bn = "blk_n" in frag.physical_schema.names
-    cols = ["term", "df", "ords_enc", "tfs_enc", *cols] + (
-        ["blk_n"] if has_bn else [])
-    tbl = frag.to_table(columns=cols, filter=pc.field("term").isin(
-        pa.array(list(terms), type=pa.string())))
-    return {n: tbl[n].to_pylist() for n in cols}
-
-
-def _read_rows(path: str, terms: Sequence[str], codec: str, block_size: int,
-               extra: Sequence[str] = (), has_bn: bool | None = None
-               ) -> list[tuple]:
-    """(term, (ords, tfs), *``extra`` column values) of every ``terms``
-    row of one postings file (see ``_read_columns``)."""
-    c = _read_columns(path, terms, extra, has_bn)
-    bn = c.get("blk_n", [None] * len(c["term"]))
-    return [(t, decode_posting_list(c["ords_enc"][i], c["tfs_enc"][i],
-                                    codec=codec, df=c["df"][i],
-                                    block_size=block_size, blk_n=bn[i]),
-             *(c[x][i] for x in extra))
-            for i, t in enumerate(c["term"])]
-
-
-def _read_decoded(path: str, terms: Sequence[str], codec: str,
-                  block_size: int, has_bn: bool | None = None
-                  ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Decoded (ords, tfs) of the ``terms`` present in one postings
-    file, reading only the columns the decode needs (never
-    ``pos_enc``)."""
-    return dict(_read_rows(path, terms, codec, block_size, has_bn=has_bn))
-
-
-def _read_positions(path: str, terms: Sequence[str], codec: str,
-                    block_size: int
-                    ) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(ords, flat positions, offsets) of the ``terms`` present in one
-    postings file: posting i's positions (PRE-stopword axis, ascending)
-    are ``flat[offsets[i]:offsets[i + 1]]``.  The one positions decode
-    of the phrase/span family, sqs and the highlight fetch."""
-    return {t: (ords, *decode_positions(pe, tfs))
-            for t, (ords, tfs), pe in _read_rows(path, terms, codec,
-                                                 block_size, ("pos_enc",))}
-
-
 def _doc_arrays(docs: pa.Table) -> tuple[np.ndarray, np.ndarray | None]:
     """(doc lengths, tie-break ranks) of one segment's docs table.
     Bulk-merged segments carry segment-major ordinals + a key_rank
@@ -1198,6 +1133,268 @@ def _doc_arrays(docs: pa.Table) -> tuple[np.ndarray, np.ndarray | None]:
     tie = (docs["key_rank"].to_numpy(zero_copy_only=False).astype(np.int64)
            if "key_rank" in docs.column_names else None)
     return dl, tie
+
+
+# -- the per-process reader cache ----------------------------------------
+# Segment and dictionary files are immutable once written, so a process
+# keeps what it has read of them: Ray reuses worker processes, so a later
+# cold task (and every request to a shard actor) finds the docs tables
+# and decoded postings of the segments it searched before (the
+# reference's held-open ``JVectorReader`` plus its node-level
+# ``QuantizationStateCache``).  Every entry is keyed by the identity
+# (inode, mtime, size) of the files it was read from, so a segment
+# rebuilt in place, or an index deleted and rebuilt at the same path, is
+# read afresh, never served stale.  One byte-bounded LRU holds every
+# entry of the process.
+
+READER_CACHE_BYTES = 256 << 20     # the process's budget, in bytes
+_ENTRY_BYTES = 128                 # charged per entry besides its arrays
+
+
+class _ReaderCache:
+    """key -> (value, bytes) LRU over the whole process; a value of None
+    records an absent term.  A lock guards it: the process's threads (a
+    threaded actor, a threaded driver) share it."""
+
+    def __init__(self):
+        self.entries: OrderedDict[tuple, tuple[Any, int]] = OrderedDict()
+        self.lock = threading.Lock()
+        self.bytes = 0
+        self.hits = self.misses = self.evictions = 0
+        self.position_decodes = 0
+
+    def get(self, key: tuple) -> tuple[Any, int] | None:
+        with self.lock:
+            e = self.entries.get(key)
+            if e is None:
+                self.misses += 1
+                return None
+            self.entries.move_to_end(key)
+            self.hits += 1
+            return e
+
+    def put(self, key: tuple, value: Any, nbytes: int,
+            decoded: bool = False) -> None:
+        """Cache ``value``; ``decoded`` counts a position decode."""
+        with self.lock:
+            old = self.entries.pop(key, None)
+            if old is not None:
+                self.bytes -= old[1]
+            self.entries[key] = (value, nbytes + _ENTRY_BYTES)
+            self.bytes += nbytes + _ENTRY_BYTES
+            self.position_decodes += decoded
+            while self.bytes > READER_CACHE_BYTES:
+                _, (_, n) = self.entries.popitem(last=False)
+                self.bytes -= n
+                self.evictions += 1
+
+    def terms(self, prefix: tuple, terms: Sequence[str],
+              read: Callable[[list[str]], dict[str, tuple[Any, int]]]
+              ) -> tuple[dict[str, Any], list[str]]:
+        """(term -> value of the present ``terms``, in ``terms`` order;
+        the terms not in the cache).  With ``read``, the missing ones are
+        read as ``read(missing)`` -> {present term: (value, bytes)},
+        cached (absent ones as None) and returned too."""
+        vals: dict[str, Any] = {}
+        missing: list[str] = []
+        for t in terms:
+            e = self.get((*prefix, t))
+            if e is None:
+                missing.append(t)
+            else:
+                vals[t] = e[0]
+        if missing and read is not None:
+            got = read(missing)
+            for t in missing:
+                vals[t], n = got.get(t, (None, len(t)))
+                self.put((*prefix, t), vals[t], n)
+            missing = []
+        return {t: vals[t] for t in terms
+                if vals.get(t) is not None}, missing
+
+    def stats(self) -> dict[str, int]:
+        with self.lock:
+            return {"hits": self.hits, "misses": self.misses,
+                    "cached_terms": sum(k[-2] not in ("docs", "encoded")
+                                        for k in self.entries),
+                    "bytes": self.bytes, "evictions": self.evictions,
+                    "position_decodes": self.position_decodes}
+
+
+_READERS = _ReaderCache()
+
+
+def reader_cache_stats() -> dict[str, int]:
+    """This process's reader-cache counters: lookups that hit or
+    missed, cached term entries (absent-term entries included), bytes
+    held, entries evicted and position lists decoded."""
+    return _READERS.stats()
+
+
+def _file_id(path: str) -> tuple[int, int, int]:
+    st = os.stat(path)
+    return st.st_ino, st.st_mtime_ns, st.st_size
+
+
+def _frozen(*arrays: np.ndarray) -> int:
+    """Mark cached arrays read-only (a kernel that wrote into one would
+    corrupt every later query) and return their bytes."""
+    for a in arrays:
+        a.flags.writeable = False
+    return sum(a.nbytes for a in arrays)
+
+
+class SegmentReader:
+    """One segment's files read through the process's reader cache: the
+    docs table with its doc-length and tie-break arrays, the encoded
+    postings, and per term the decoded (ords, tfs), WAND's raw block
+    rows and the position slots, each cached on first read (absent
+    terms too)."""
+
+    def __init__(self, seg_dir: str, codec: str = "varint",
+                 block_size: int = 128):
+        self.path = os.path.join(seg_dir, POSTINGS_NAME)
+        self.docs_path = os.path.join(seg_dir, DOCS_NAME)
+        self.codec, self.block_size = codec, block_size
+        self.key = (seg_dir, _file_id(self.docs_path), _file_id(self.path),
+                    codec, block_size)
+
+    def encoded(self, column: str = "") -> pa.Table | pa.Array:
+        """The segment's encoded postings, read once: the table of
+        ``term``, ``df``, ``ords_enc``, ``tfs_enc``, the block skip data
+        and ``blk_n`` (bulk-merged runs' irregular block sizes, which the
+        pfor decoder MUST consult: decoding such a run without them
+        silently corrupts ordinals); or ``column`` alone (``pos_enc``,
+        which only the positional family reads), row-aligned with the
+        table.  A per-term read of a one-row-group file reads whole
+        column chunks anyway, so each later miss is an in-memory
+        select."""
+        key = (self.key, "encoded", column)
+        e = _READERS.get(key)
+        if e is not None:
+            return e[0]
+        frag = _PARQUET.make_fragment(self.path, filesystem=_LOCAL_FS)
+        if column:
+            val = frag.to_table(columns=[column])[column].combine_chunks()
+        else:
+            have = frag.physical_schema.names
+            val = frag.to_table(columns=[
+                n for n in ("term", "df", "ords_enc", "tfs_enc",
+                            *_BLOCK_MAX_COLS, "blk_n") if n in have]
+            ).combine_chunks()
+        _READERS.put(key, val, val.nbytes)
+        return val
+
+    def rows(self, terms: Sequence[str] | None = None,
+             cols: Sequence[str] = (), positions: bool = False
+             ) -> dict[str, dict[str, Any]]:
+        """term -> its row (column -> value: ``term``, ``df``,
+        ``ords_enc``, ``tfs_enc``, ``cols``, ``blk_n`` when present and
+        ``pos_enc`` when ``positions``) of the present ``terms`` (None:
+        every term)."""
+        tbl = self.encoded()
+        sel = tbl.select([n for n in tbl.column_names if n in (
+            "term", "df", "ords_enc", "tfs_enc", *cols, "blk_n")])
+        mask = None if terms is None else pc.is_in(
+            tbl["term"], value_set=pa.array(list(terms), type=pa.string()))
+        if positions:
+            sel = sel.append_column("pos_enc", self.encoded("pos_enc"))
+        if mask is not None:
+            sel = sel.filter(mask)
+        return {row["term"]: row for row in sel.to_pylist()}
+
+    def decode(self, row: dict[str, Any]) -> tuple[np.ndarray, np.ndarray]:
+        """Decoded (ords, tfs) of one row of ``rows``."""
+        return decode_posting_list(row["ords_enc"], row["tfs_enc"],
+                                   codec=self.codec, df=row["df"],
+                                   block_size=self.block_size,
+                                   blk_n=row.get("blk_n"))
+
+    def docs(self) -> tuple[pa.Table, np.ndarray, np.ndarray | None]:
+        """(docs table, doc lengths, tie-break ranks)."""
+        key = (self.key, "docs", "")
+        e = _READERS.get(key)
+        if e is not None:
+            return e[0]
+        docs = pq.read_table(self.docs_path)
+        dl, tie = _doc_arrays(docs)
+        arrays = (dl,) if tie is None else (dl, tie)
+        _READERS.put(key, (docs, dl, tie), docs.nbytes + _frozen(*arrays))
+        return docs, dl, tie
+
+    def decoded(self, terms: Sequence[str]
+                ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """Decoded (ords, tfs) of the present ``terms``, read without
+        positions."""
+        def read(missing):
+            out = {}
+            for t, row in self.rows(missing).items():
+                ords, tfs = self.decode(row)
+                out[t] = ((ords, tfs), _frozen(ords, tfs))
+            return out
+        return _READERS.terms((self.key, "ords"), terms, read)[0]
+
+    def blocks(self, terms: Sequence[str]) -> dict[str, dict[str, Any]]:
+        """The raw postings row (column -> value, with the per-block skip
+        data of ``_BLOCK_MAX_COLS``) of the present ``terms``."""
+        def read(missing):
+            out = {}
+            for t, row in self.rows(missing, _BLOCK_MAX_COLS).items():
+                skip = [n for n in (*_BLOCK_MAX_COLS, "blk_n") if n in row]
+                for n in skip:
+                    row[n] = np.asarray(row[n], dtype=np.int64)
+                out[t] = (row, len(row["ords_enc"]) + len(row["tfs_enc"])
+                          + _frozen(*(row[n] for n in skip)))
+            return out
+        return _READERS.terms((self.key, "blocks"), terms, read)[0]
+
+    def slots(self, terms: Sequence[str]) -> "_Slots":
+        """(ords, flat positions, offsets) slots of the present ``terms``,
+        each decoded when first asked for: posting i's positions
+        (PRE-stopword axis, ascending) are ``flat[offsets[i]:offsets[i +
+        1]]``.  The one positions decode of the phrase/span family, sqs
+        and the highlight fetch."""
+        prefix = (self.key, "pos")
+        ready, missing = _READERS.terms(prefix, terms, None)
+        pending: dict[str, tuple] = {}
+        if missing:
+            pending = {t: (*self.decode(row), row["pos_enc"]) for t, row
+                       in self.rows(missing, positions=True).items()}
+            for t in missing:
+                if t not in pending:
+                    _READERS.put((*prefix, t), None, len(t))
+        return _Slots(prefix, ready, pending)
+
+
+class _Slots(dict):
+    """term -> position slot of one segment: the cached slots, plus the
+    read-but-undecoded rows of the others, decoded on first access (a
+    query whose other terms are absent from the segment decodes none)."""
+
+    def __init__(self, prefix: tuple, ready: dict, pending: dict):
+        super().__init__(ready)
+        self._prefix = prefix
+        self._pending = pending
+
+    def __contains__(self, t) -> bool:
+        return dict.__contains__(self, t) or t in self._pending
+
+    def __missing__(self, t):
+        ords, tfs, pe = self._pending.pop(t)      # KeyError when absent
+        slot = (ords, *decode_positions(pe, tfs))
+        _READERS.put((*self._prefix, t), slot, _frozen(*slot), decoded=True)
+        self[t] = slot
+        return slot
+
+    def get(self, t, default=None):
+        return self[t] if t in self else default
+
+    def decoded(self, t: str) -> tuple[np.ndarray, np.ndarray]:
+        """(ords, tfs) of a present term, without decoding positions."""
+        if t in self._pending:
+            return self._pending[t][:2]
+        ords, _, offs = self[t]
+        return ords, np.diff(offs)
 
 
 def _sparse_term_weights(queries: "dict[str, list[tuple[str, float]]]"
@@ -1215,7 +1412,7 @@ def _sparse_term_weights(queries: "dict[str, list[tuple[str, float]]]"
 
 # -- the position layer of the phrase/span family ------------------------
 # A slot is one (ords, flat positions, offsets) triple: a term's postings
-# as ``_read_positions`` returns them, or the union of several terms'
+# as ``SegmentReader.slots`` returns them, or the union of several terms'
 # (``_union_slot``).  Each kernel turns its query into slots, runs one
 # combine rule over the docs holding every slot (the ordered chain or
 # the window cover) and scores the resulting (doc, tf) pairs.
@@ -1354,10 +1551,9 @@ class SegmentSearcher:
     """The per-segment BM25 kernel: scores every query of the payload
     against each segment named in a ``seg_dir`` batch (the reference's
     per-segment reader, S5, `JVectorReader.java:42-331`).  Cold searches
-    run it in stateless Ray tasks (``IndexSearcher._map_segments``);
-    ``serve.SearchService`` actors run a subclass whose two read hooks,
-    ``_open_docs`` and ``_postings``, serve cached docs and decoded
-    posting lists."""
+    run it in stateless Ray tasks (``IndexSearcher._map_segments``),
+    ``serve.SearchService`` in its shard actors; both read each segment
+    through the process's ``SegmentReader`` cache."""
 
     def __init__(self, payload: dict):
         self.p = payload
@@ -1390,39 +1586,30 @@ class SegmentSearcher:
         cols["score"] = pa.array([], type=pa.float64())
         return pa.table(cols)
 
-    # -- read hooks: the only segment I/O of the kernel -------------------
-    def _open_docs(self, seg_dir: str
-                   ) -> tuple[pa.Table, np.ndarray, np.ndarray | None]:
-        """(docs table, doc lengths, tie-break ranks) of one segment."""
-        docs = pq.read_table(os.path.join(seg_dir, DOCS_NAME))
-        return (docs, *_doc_arrays(docs))
-
-    def _postings(self, seg_dir: str, terms: Sequence[str], mode: str
-                  ) -> dict[str, Any]:
+    # -- the only segment I/O of the kernel ------------------------------
+    def _postings(self, reader: SegmentReader, terms: Sequence[str],
+                  mode: str) -> dict[str, Any]:
         """The ``terms`` present in one segment, as ``mode``'s scorer
         reads them: the positional family (``_POSITIONAL``) gets
-        (ords, flat positions, offsets) slots, each term decoded once
-        for the whole query batch; WAND gets the raw posting rows
-        (column -> value, with the per-block skip data: it decodes only
-        the blocks its bounds keep); every other mode gets (ords, tfs),
-        read without positions."""
-        path = os.path.join(seg_dir, POSTINGS_NAME)
-        codec = self.p.get("codec", "varint")
-        block_size = self.p.get("block_size", 128)
+        (ords, flat positions, offsets) slots, each decoded at most once
+        for the whole query batch and only when a kernel asks; WAND gets
+        the raw posting rows (column -> value, with the per-block skip
+        data: it decodes only the blocks its bounds keep); every other
+        mode gets (ords, tfs), read without positions."""
         if mode in self._POSITIONAL:
-            return _read_positions(path, terms, codec, block_size)
-        if mode != "wand":
-            return _read_decoded(path, terms, codec, block_size)
-        c = _read_columns(path, terms, _BLOCK_MAX_COLS)
-        return {t: {n: v[i] for n, v in c.items()}
-                for i, t in enumerate(c["term"])}
+            return reader.slots(terms)
+        if mode == "wand":
+            return reader.blocks(terms)
+        return reader.decoded(terms)
 
     def _search_segment(self, seg_dir: str) -> pa.Table | None:
         p = self.p
         union_terms = p["union_terms"]
         if not union_terms:
             return None
-        docs, dl, tie = self._open_docs(seg_dir)
+        reader = SegmentReader(seg_dir, p.get("codec", "varint"),
+                               p.get("block_size", 128))
+        docs, dl, tie = reader.docs()
         n_docs = docs.num_rows
         if n_docs == 0:
             return None
@@ -1444,7 +1631,7 @@ class SegmentSearcher:
             mask[kept] = True
 
         mode = p["mode"]
-        post = self._postings(seg_dir, union_terms, mode)
+        post = self._postings(reader, union_terms, mode)
         kernel = self._POSITIONAL.get(mode)
 
         out_qid: list[str] = []
@@ -1612,7 +1799,8 @@ class SegmentSearcher:
             out_sc.append(scores)
         if agg is not None:
             if agg["kind"] == "sig_text":
-                return self._sig_text_partial(seg_dir, sig_sets, n_docs)
+                return _sig_text_scan(reader, sig_sets, n_docs,
+                                      p["agg_schema"])
             return pa.concat_tables(ftables) if ftables else None
         if not out_qid:
             return None
@@ -1625,14 +1813,6 @@ class SegmentSearcher:
             cols[sort_spec["field"]] = docs[sort_spec["field"]].take(take_idx)
         cols["score"] = pa.array(np.concatenate(out_sc), type=pa.float64())
         return pa.table(cols)
-
-    def _sig_text_partial(self, seg_dir: str,
-                          sig_sets: dict[str, np.ndarray],
-                          n_docs: int) -> pa.Table | None:
-        return _sig_text_scan(seg_dir, sig_sets, n_docs,
-                              self.p.get("codec", "varint"),
-                              self.p.get("block_size", 128),
-                              self.p["agg_schema"])
 
     # -- the phrase/span family: slots -> one combine rule -> BM25 -------
     # Every kernel takes (q, post, dl, mask, tie), ``post`` being the
@@ -1676,8 +1856,10 @@ class SegmentSearcher:
         GLOBAL stats: literal idfs in position order + expansion idfs
         term-ascending) scales the shared tf-part."""
         lits = _slots(q["lit_terms"], post)
+        if lits is None:
+            return _NO_HITS
         exps = [post[e] for e in q["exp_terms"] if e in post]
-        if lits is None or not exps:
+        if not exps:
             return _NO_HITS
         slots = [*lits, _union_slot(exps)]
         return self._top(_chain_tf(slots, len(slots), mask), q["idf_sum"],
@@ -1713,9 +1895,10 @@ class SegmentSearcher:
         the synonym engine already uses: idf from the MAX member df;
         idf_sum = Σ clause idfs in clause order."""
         groups = q["groups"]
-        members = [[post[t] for t in g["terms"] if t in post] for g in groups]
-        if not members or not all(members):
+        if not groups or not all(any(t in post for t in g["terms"])
+                                  for g in groups):
             return _NO_HITS
+        members = [[post[t] for t in g["terms"] if t in post] for g in groups]
         idf_sum = float(sum(g["idf"] for g in groups))
         return self._top(_window_tf([_union_slot(m) for m in members],
                                     len(groups) + self.p["slop"], mask),
@@ -1855,9 +2038,9 @@ class SegmentSearcher:
                 for (t, w, idf) in cl["terms"]:
                     if t not in post:
                         continue
-                    o2, _, offs = post[t]
+                    o2, tfs = post.decoded(t)
                     cd[o2] += w * idf * bm25_tf_part(
-                        np.diff(offs), dl[o2], self.avgdl, self.k1, self.b)
+                        tfs, dl[o2], self.avgdl, self.k1, self.b)
             m = cd > 0.0
             if cl["occur"] == "must_not":
                 qual &= ~m
@@ -2278,15 +2461,14 @@ def _positions_for_segment(seg_dir: str, p: dict) -> pa.Table | None:
     segment holding a hit, so the decode is bounded by the terms'
     corpus frequency, not by the result size."""
     key_cols = p["key_cols"]
-    docs = pq.read_table(os.path.join(seg_dir, DOCS_NAME),
-                         columns=list(key_cols)).to_pandas()
+    reader = SegmentReader(seg_dir, p["codec"], p["block_size"])
+    docs = reader.docs()[0].select(list(key_cols)).to_pandas()
     docs["ord_"] = np.arange(len(docs), dtype=np.int64)
     hitdf = pd.DataFrame(p["hits"])
     m = hitdf.merge(docs, on=list(key_cols))
     if m.empty:
         return None
-    term_data = _read_positions(os.path.join(seg_dir, POSTINGS_NAME),
-                                p["union"], p["codec"], p["block_size"])
+    term_data = reader.slots(p["union"])
     out_q: list[str] = []
     out_key: dict[str, list] = {kc: [] for kc in key_cols}
     out_t: list[str] = []
@@ -2379,14 +2561,25 @@ class IndexSearcher:
 
     # -- dictionary lookup: filtered read, never loads the full vocab ----
     def lookup_df(self, terms: Sequence[str]) -> dict[str, int]:
+        """term -> dictionary df of the present ``terms``, through the
+        process's reader cache, keyed by the identity of the dictionary
+        files read (a generation dir is immutable, the legacy flat
+        layout is not, and an index can be rebuilt at the same path)."""
         dict_dir = self.dict_dir
         if not terms or not os.path.isdir(dict_dir) or not os.listdir(dict_dir):
             return {}
         from opensearch_jvector_ray.state.manifest import dict_read_paths
-        tbl = pq.read_table(dict_read_paths(dict_dir),
-                            filters=[("term", "in", list(terms))],
-                            columns=["term", "df"])
-        return dict(zip(tbl["term"].to_pylist(), tbl["df"].to_pylist()))
+        paths = dict_read_paths(dict_dir)
+        files = paths if isinstance(paths, list) else sorted(
+            os.path.join(paths, f) for f in os.listdir(paths))
+
+        def read(missing):
+            tbl = pq.read_table(paths, filters=[("term", "in", missing)],
+                                columns=["term", "df"])
+            return {t: (df, len(t)) for t, df in zip(
+                tbl["term"].to_pylist(), tbl["df"].to_pylist())}
+        key = (tuple((f, *_file_id(f)) for f in files), "df")
+        return _READERS.terms(key, terms, read)[0]
 
     def _read_dictionary(self, filters=None) -> pa.Table:
         dict_dir = self.dict_dir
@@ -2403,10 +2596,11 @@ class IndexSearcher:
         """Run the segment kernel over every segment of ``self.seg_dirs``
         and return the per-segment partial frames (per task batch when
         ``concurrency`` caps the tasks), each with the kernel's schema
-        even when empty.  Stateless task fan-out (``_fan_out``):
-        one-shot searches pay no actor spin-up and hold no CPU between
-        calls.  Persistent serving with warm caches overrides this
-        (serve.SearchService)."""
+        even when empty.  Task fan-out (``_fan_out``): one-shot
+        searches pay no actor spin-up and hold no CPU between calls; the
+        worker processes Ray reuses keep their reader caches.  Serving
+        on shard actors that hold their segments and a CPU overrides
+        this (serve.SearchService)."""
         return self._fan_segments(_search_segments_task, concurrency,
                                   payload=payload)
 
@@ -4228,7 +4422,7 @@ class IndexSearcher:
         TERMS over-represented in the match set vs the whole corpus —
         the free-text sibling of significant_terms_agg.  Foreground
         counts come from a per-segment postings scan
-        (``_sig_text_partial``: vocabulary-sized partials, fg_tot rides
+        (``_sig_text_scan``: vocabulary-sized partials, fg_tot rides
         the reserved '' row), background counts are the dictionary's
         GLOBAL df, fg_tot = matched docs, bg_tot = n_docs_indexed.
         score JLH = (fg% - bg%) * (fg% / bg%) — integer counts through
@@ -6104,10 +6298,8 @@ def _cf_stats_task(batch: pa.Table, fields: list[str],
         dl_c: np.ndarray | None = None
         masks: dict[str, np.ndarray] = {}
         for f in fields:
-            d = batch[f][i].as_py()
-            dl = pq.read_table(os.path.join(d, DOCS_NAME),
-                               columns=["doc_len"])["doc_len"] \
-                .to_numpy(zero_copy_only=False).astype(np.int64)
+            reader = SegmentReader(batch[f][i].as_py(), **fmt[f])
+            _, dl, _ = reader.docs()
             if n_docs is None:
                 n_docs = len(dl)
                 dl_c = np.zeros(n_docs, dtype=np.int64)
@@ -6115,20 +6307,7 @@ def _cf_stats_task(batch: pa.Table, fields: list[str],
                 raise ValueError("combined_fields slot misaligned: "
                                  f"{len(dl)} vs {n_docs} docs")
             dl_c += weights[f] * dl
-            postings = pq.read_table(
-                os.path.join(d, POSTINGS_NAME),
-                filters=[("term", "in", list(union_terms))])
-            has_blk = "blk_n" in postings.column_names
-            for r in range(postings.num_rows):
-                t = postings["term"][r].as_py()
-                ords, _ = decode_posting_list(
-                    postings["ords_enc"][r].as_py(),
-                    postings["tfs_enc"][r].as_py(),
-                    codec=fmt[f]["codec"],
-                    df=postings["df"][r].as_py(),
-                    block_size=fmt[f]["block_size"],
-                    blk_n=postings["blk_n"][r].as_py() if has_blk
-                    else None)
+            for t, (ords, _) in reader.decoded(union_terms).items():
                 m = masks.setdefault(t, np.zeros(n_docs, dtype=bool))
                 m[ords] = True
         if n_docs is None:
@@ -6165,41 +6344,24 @@ def _cf_score_task(batch: pa.Table, payload: dict) -> pa.Table:
         n_docs: int | None = None
         dl_c: np.ndarray | None = None
         tfc: dict[str, np.ndarray] = {}
-        docs0 = None
+        docs0 = tie = None
         for f in fields:
-            d = batch[f][i].as_py()
-            docs = pq.read_table(os.path.join(d, DOCS_NAME))
+            reader = SegmentReader(batch[f][i].as_py(), **fmt[f])
+            docs, dl, tie_f = reader.docs()
             if docs0 is None:
-                docs0 = docs
-            dl = docs["doc_len"].to_numpy(zero_copy_only=False) \
-                .astype(np.int64)
+                docs0, tie = docs, tie_f
             if n_docs is None:
                 n_docs = len(dl)
                 dl_c = np.zeros(n_docs, dtype=np.int64)
             elif len(dl) != n_docs:
                 raise ValueError("combined_fields slot misaligned")
             dl_c += weights[f] * dl
-            postings = pq.read_table(
-                os.path.join(d, POSTINGS_NAME),
-                filters=[("term", "in", payload["union_terms"])])
-            has_blk = "blk_n" in postings.column_names
-            for r in range(postings.num_rows):
-                t = postings["term"][r].as_py()
-                ords, tfs = decode_posting_list(
-                    postings["ords_enc"][r].as_py(),
-                    postings["tfs_enc"][r].as_py(),
-                    codec=fmt[f]["codec"],
-                    df=postings["df"][r].as_py(),
-                    block_size=fmt[f]["block_size"],
-                    blk_n=postings["blk_n"][r].as_py() if has_blk
-                    else None)
+            for t, (ords, tfs) in reader.decoded(
+                    payload["union_terms"]).items():
                 a = tfc.setdefault(t, np.zeros(n_docs, dtype=np.int64))
                 a[ords] += weights[f] * tfs
         if n_docs is None or n_docs == 0:
             continue
-        tie = (docs0["key_rank"].to_numpy(zero_copy_only=False)
-               .astype(np.int64)
-               if "key_rank" in docs0.column_names else None)
         for q in payload["queries"]:
             scores = np.zeros(n_docs, dtype=np.float64)
             for (t, w, idf) in q["terms"]:   # sorted term order (both sides)

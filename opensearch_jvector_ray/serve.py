@@ -1,150 +1,92 @@
 """Persistent query service: long-lived segment-searcher actors.
 
 ``IndexSearcher.search`` runs one stateless Ray task per segment per
-call — right for one-shot and batch searches, wasteful for query
-serving.  ``SearchService`` is the serving shape: N named actors, each
-owning a static subset of segments, created once and reused across
-searches.  Each actor keeps hot state in memory:
+call — right for one-shot and batch searches.  ``SearchService`` is the
+serving shape: N named actors, each owning a static subset of segments
+and one CPU, created once and reused across searches.
 
-  - the segments' docs tables + doc-length arrays (the held-open reader,
-    S5: `JVectorReader` keeps meta + mmap slices open,
-    `JVectorReader.java:42-331`),
-  - an LRU cache of decoded posting lists keyed by (segment, term) — the
-    analog of the node-level `QuantizationStateCache` (T6,
-    `quantization/models/quantizationState/QuantizationStateCache.java`).
+Neither path holds a cache of its own.  Every process that runs the
+segment kernel (``query.SegmentSearcher``) reads segments through its
+process-wide ``query.SegmentReader`` cache: the docs tables, the
+encoded postings, and per term the decoded postings, WAND's block rows
+and the position slots, in one byte-bounded LRU
+(``query.READER_CACHE_BYTES``) keyed by the segment files' identity —
+the analog of the reference's held-open
+``JVectorReader`` (S5, `JVectorReader.java:42-331`) and node-level
+``QuantizationStateCache`` (T6,
+`quantization/models/quantizationState/QuantizationStateCache.java`).
+Ray reuses worker processes, so cold tasks hit it too; what a shard
+actor adds is placement: its segments stay in one process whose cache
+holds them, on a CPU it keeps.
 
-The actors run the same segment kernel as the cold path
-(``query.SegmentSearcher``) through its two read hooks, and the front
-end is an ``IndexSearcher`` whose only difference is that segment
-dispatch fans out to the actors — so warm and cold results are the same
-code, asserted frame-identical by tests.
+The front end is an ``IndexSearcher`` whose only difference is that
+segment dispatch fans out to the actors — so warm and cold results are
+the same code, asserted frame-identical by tests.
 """
 
 from __future__ import annotations
 
 import os
 from collections import OrderedDict
-from typing import Sequence
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import pyarrow.parquet as pq
 
 import ray
 
 from opensearch_jvector_ray.config import EngineConfig
 from opensearch_jvector_ray.query import (
-    IndexSearcher, SegmentSearcher, _doc_arrays, _read_decoded,
-    _sparse_term_weights,
+    IndexSearcher, SegmentReader, SegmentSearcher, _sparse_term_weights,
+    reader_cache_stats,
 )
 from opensearch_jvector_ray.state.manifest import (
-    CONFIG_NAME, DOCS_NAME, POSTINGS_NAME, SEGMENTS_DIR, STATS_NAME, read_json,
+    CONFIG_NAME, SEGMENTS_DIR, STATS_NAME, read_json,
 )
-
-
-class _CachedSegmentSearcher(SegmentSearcher):
-    """The segment kernel reading through a shard actor's caches: the
-    resident docs, and the decoded-postings LRU for the modes that only
-    consume decoded (ords, tfs).  The positional family (phrase, span,
-    sqs: position slots, each term decoded once per call) and WAND
-    (raw rows with their block skip data, so it decodes only the
-    blocks its bounds keep) read postings from disk, as the cold tasks
-    do."""
-
-    def __init__(self, payload: dict, shard: "SegmentShardActor"):
-        super().__init__(payload)
-        self.shard = shard
-
-    def _open_docs(self, seg_dir: str):
-        seg = self.shard.segs[seg_dir]
-        return seg["docs"], seg["dl"], seg["tie"]
-
-    def _postings(self, seg_dir: str, terms: Sequence[str], mode: str):
-        if mode in self._POSITIONAL or mode == "wand":
-            return super()._postings(seg_dir, terms, mode)
-        return self.shard._postings_for(seg_dir, terms)
 
 
 @ray.remote
 class SegmentShardActor:
-    """Owns a subset of segments; state survives across searches."""
+    """Owns a subset of segments: runs the segment kernel over them in
+    one process, whose reader cache keeps them warm across searches."""
 
-    def __init__(self, seg_dirs: list[str], cfg_json: str,
-                 term_cache_size: int = 50_000):
+    def __init__(self, seg_dirs: list[str], cfg_json: str):
         self.cfg = EngineConfig.from_json(cfg_json)
-        self.segs: dict[str, dict] = {}
+        self.seg_dirs: list[str] = []
         self.add_segments(seg_dirs)
-        self.term_cache: OrderedDict[tuple[str, str], tuple] = OrderedDict()
-        self.term_cache_size = term_cache_size
-        self.hits = 0
-        self.misses = 0
 
     def ping(self) -> int:
         """Liveness probe for the respawn path."""
-        return len(self.segs)
+        return len(self.seg_dirs)
 
     def add_segments(self, seg_dirs: list[str]) -> int:
-        """NRT refresh [OpenSearch refresh public semantics]: load newly
-        flushed segments into the warm actor — existing segment state
-        and the postings cache are untouched; new segments become
-        searchable on the next query."""
+        """NRT refresh [OpenSearch refresh public semantics]: take on
+        newly flushed segments, their docs read now so the next query
+        finds them warm; existing segments and cached postings are
+        untouched."""
         for d in seg_dirs:
-            docs = pq.read_table(os.path.join(d, DOCS_NAME))
-            dl, tie = _doc_arrays(docs)
-            self.segs[d] = {
-                "docs": docs, "dl": dl, "tie": tie,
-                # immutable once written — detect the bulk-merge blk_n
-                # column ONCE, not per cache-miss on the hot path
-                "has_bn": "blk_n" in pq.read_schema(
-                    os.path.join(d, POSTINGS_NAME)).names,
-            }
-        return len(self.segs)
-
-    def _postings_for(self, seg_dir: str, terms: Sequence[str]
-                      ) -> dict[str, tuple]:
-        """Decoded (ords, tfs) per present term, through the LRU."""
-        out = {}
-        missing = []
-        for t in terms:
-            key = (seg_dir, t)
-            if key in self.term_cache:
-                self.term_cache.move_to_end(key)
-                out[t] = self.term_cache[key]
-                self.hits += 1
-            else:
-                missing.append(t)
-        if missing:
-            self.misses += len(missing)
-            got = _read_decoded(
-                os.path.join(seg_dir, POSTINGS_NAME), missing,
-                self.cfg.codec, self.cfg.block_size,
-                has_bn=self.segs[seg_dir]["has_bn"])
-            for t in missing:        # None negative-caches an absent term
-                self.term_cache[(seg_dir, t)] = got.get(t)
-            out.update(got)
-            while len(self.term_cache) > self.term_cache_size:
-                self.term_cache.popitem(last=False)
-        return {t: v for t, v in out.items() if v is not None}
+            SegmentReader(d, self.cfg.codec, self.cfg.block_size).docs()
+            self.seg_dirs.append(d)
+        return len(self.seg_dirs)
 
     def run(self, payload: dict) -> pa.Table:
         """The one scoring entry point: the segment kernel over every
         segment this actor holds (search hits or aggregation partials,
         as the payload asks)."""
-        batch = pa.table({"seg_dir": pa.array(list(self.segs),
+        batch = pa.table({"seg_dir": pa.array(self.seg_dirs,
                                               type=pa.string())})
-        return _CachedSegmentSearcher(payload, self)(batch)
+        return SegmentSearcher(payload)(batch)
 
     def cache_stats(self) -> dict:
-        return {"hits": self.hits, "misses": self.misses,
-                "cached_terms": len(self.term_cache)}
+        """This actor process's reader-cache counters
+        (``query.reader_cache_stats``)."""
+        return reader_cache_stats()
 
 
 class SearchService:
     """Driver-side handle: create once, search many times."""
 
     def __init__(self, index_dir: str, num_shards: int = 8,
-                 term_cache_size: int = 50_000,
                  request_cache_size: int = 256):
         meta = read_json(os.path.join(index_dir, CONFIG_NAME))
         self.cfg = EngineConfig.from_json(meta["config"])
@@ -159,12 +101,11 @@ class SearchService:
         shards = [seg_dirs[i::num_shards] for i in range(num_shards)]
         self.actors = [
             SegmentShardActor.options(num_cpus=1).remote(
-                s, self.cfg.to_json(), term_cache_size)
+                s, self.cfg.to_json())
             for s in shards]
         self._assigned = set(seg_dirs)
         self._shards = [list(s) for s in shards]   # per-actor segment
         #   assignment — the respawn path rebuilds a dead actor from it
-        self._term_cache_size = term_cache_size
         self.respawns = 0
         self._shard_sizes = [len(s) for s in shards]
         # request cache [OpenSearch shard-request-cache public
@@ -250,8 +191,7 @@ class SearchService:
         (segments are immutable, global stats live on the driver)."""
         for i in dead:
             self.actors[i] = SegmentShardActor.options(
-                num_cpus=1).remote(self._shards[i], self.cfg.to_json(),
-                                   self._term_cache_size)
+                num_cpus=1).remote(self._shards[i], self.cfg.to_json())
         self.respawns += len(dead)
 
     def _gather(self, make_futures) -> list:
