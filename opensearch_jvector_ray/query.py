@@ -39,8 +39,6 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.dataset as ds
-import pyarrow.fs as pafs
 import pyarrow.parquet as pq
 
 import ray
@@ -1115,8 +1113,6 @@ def _topk_from_scores(scores: np.ndarray, candidates: np.ndarray,
     return sel_ord[order], sel_sc[order]
 
 
-_PARQUET = ds.ParquetFileFormat()
-_LOCAL_FS = pafs.LocalFileSystem()
 # the per-block skip data WAND reads besides the encoded lists: each
 # block's last ordinal, score-bound inputs (max tf, min doc length) and
 # the byte offsets ``decode_blocks`` slices by
@@ -1145,10 +1141,28 @@ def _doc_arrays(docs: pa.Table) -> tuple[np.ndarray, np.ndarray | None]:
 # (inode, mtime, size) of the files it was read from, so a segment
 # rebuilt in place, or an index deleted and rebuilt at the same path, is
 # read afresh, never served stale.  One byte-bounded LRU holds every
-# entry of the process.
+# entry of the process; its budget is the process's share of one node
+# figure, so the node's total stays bounded however many worker
+# processes hold a cache.
 
-READER_CACHE_BYTES = 256 << 20     # the process's budget, in bytes
+READER_CACHE_NODE_BYTES = 1 << 30  # one node's budget, in bytes
 _ENTRY_BYTES = 128                 # charged per entry besides its arrays
+_MAP_BYTES = 100                   # charged per term of a row group's map
+# the per-term namespaces (decoded (ords, tfs), position slots,
+# dictionary df): hits and misses count lookups of these alone
+_TERM_KEYS = ("ords", "pos", "df")
+
+
+def _node_worker_slots() -> int:
+    """The processes of this node that may each hold a reader cache: one
+    Ray worker per CPU the node reports (a shard actor holds one), plus
+    the driver; 1 outside Ray."""
+    if not ray.is_initialized():
+        return 1
+    node = ray.get_runtime_context().get_node_id()
+    cpus = next((n["Resources"].get("CPU", 1) for n in ray.nodes()
+                 if n["NodeID"] == node), os.cpu_count() or 1)
+    return int(cpus) + 1
 
 
 class _ReaderCache:
@@ -1156,36 +1170,49 @@ class _ReaderCache:
     records an absent term.  A lock guards it: the process's threads (a
     threaded actor, a threaded driver) share it."""
 
-    def __init__(self):
+    def __init__(self, budget: int | None = None):
         self.entries: OrderedDict[tuple, tuple[Any, int]] = OrderedDict()
         self.lock = threading.Lock()
+        self._budget = budget
         self.bytes = 0
         self.hits = self.misses = self.evictions = 0
         self.position_decodes = 0
 
+    @property
+    def budget(self) -> int:
+        """The process's share of ``READER_CACHE_NODE_BYTES``, resolved
+        on first use (in a Ray worker, after Ray is up)."""
+        if self._budget is None:
+            self._budget = READER_CACHE_NODE_BYTES // _node_worker_slots()
+        return self._budget
+
     def get(self, key: tuple) -> tuple[Any, int] | None:
         with self.lock:
             e = self.entries.get(key)
-            if e is None:
-                self.misses += 1
-                return None
-            self.entries.move_to_end(key)
-            self.hits += 1
+            if e is not None:
+                self.entries.move_to_end(key)
             return e
 
     def put(self, key: tuple, value: Any, nbytes: int,
             decoded: bool = False) -> None:
-        """Cache ``value``; ``decoded`` counts a position decode."""
+        """Cache ``value``, unless it is larger than a quarter of the
+        budget: such an entry would flush most of the cache and soon be
+        flushed itself, so its caller uses it once and drops it.
+        ``decoded`` counts a position decode."""
+        budget = self.budget
+        n = nbytes + _ENTRY_BYTES
         with self.lock:
+            self.position_decodes += decoded
+            if n > budget // 4:
+                return
             old = self.entries.pop(key, None)
             if old is not None:
                 self.bytes -= old[1]
-            self.entries[key] = (value, nbytes + _ENTRY_BYTES)
-            self.bytes += nbytes + _ENTRY_BYTES
-            self.position_decodes += decoded
-            while self.bytes > READER_CACHE_BYTES:
-                _, (_, n) = self.entries.popitem(last=False)
-                self.bytes -= n
+            self.entries[key] = (value, n)
+            self.bytes += n
+            while self.bytes > budget:
+                _, (_, m) = self.entries.popitem(last=False)
+                self.bytes -= m
                 self.evictions += 1
 
     def terms(self, prefix: tuple, terms: Sequence[str],
@@ -1203,6 +1230,9 @@ class _ReaderCache:
                 missing.append(t)
             else:
                 vals[t] = e[0]
+        with self.lock:
+            self.hits += len(terms) - len(missing)
+            self.misses += len(missing)
         if missing and read is not None:
             got = read(missing)
             for t in missing:
@@ -1215,7 +1245,7 @@ class _ReaderCache:
     def stats(self) -> dict[str, int]:
         with self.lock:
             return {"hits": self.hits, "misses": self.misses,
-                    "cached_terms": sum(k[-2] not in ("docs", "encoded")
+                    "cached_terms": sum(k[-2] in _TERM_KEYS
                                         for k in self.entries),
                     "bytes": self.bytes, "evictions": self.evictions,
                     "position_decodes": self.position_decodes}
@@ -1225,9 +1255,10 @@ _READERS = _ReaderCache()
 
 
 def reader_cache_stats() -> dict[str, int]:
-    """This process's reader-cache counters: lookups that hit or
-    missed, cached term entries (absent-term entries included), bytes
-    held, entries evicted and position lists decoded."""
+    """This process's reader-cache counters: per-term lookups (decoded
+    postings, position slots, dictionary df) that hit or missed, the
+    per-term entries held (absent terms included), bytes held, entries
+    evicted and position lists decoded."""
     return _READERS.stats()
 
 
@@ -1244,12 +1275,61 @@ def _frozen(*arrays: np.ndarray) -> int:
     return sum(a.nbytes for a in arrays)
 
 
+def _column_views(col: pa.ChunkedArray) -> tuple[np.ndarray, np.ndarray]:
+    """(row offsets, flat values) of a binary or list column, row r
+    being ``values[offsets[r]:offsets[r + 1]]``: bytes as a zero-copy
+    uint8 view, list values as int64, both read-only."""
+    col = col.combine_chunks()
+    if col.null_count:
+        raise ValueError(f"postings column of {col.type} holds nulls")
+    if pa.types.is_list(col.type):
+        offs = col.offsets.to_numpy()
+        vals = col.values.to_numpy(zero_copy_only=False).astype(
+            np.int64, copy=False)
+    else:
+        offs = np.frombuffer(col.buffers()[1], dtype=np.int64
+                             if pa.types.is_large_binary(col.type)
+                             else np.int32)[col.offset:
+                                            col.offset + len(col) + 1]
+        data = col.buffers()[2]
+        vals = (np.frombuffer(data, dtype=np.uint8) if data is not None
+                else np.zeros(0, dtype=np.uint8))
+    _frozen(offs, vals)
+    return offs, vals
+
+
+class _RowGroup:
+    """One row group of a postings file, every column but ``pos_enc``,
+    as read-only numpy views, with its term -> row map."""
+
+    def __init__(self, tbl: pa.Table):
+        self.index = {t: r for r, t in enumerate(tbl["term"].to_pylist())}
+        self.df = tbl["df"].to_numpy(zero_copy_only=False)
+        self.cols = {n: _column_views(tbl[n]) for n in tbl.column_names
+                     if n not in ("term", "df")}
+        self.nbytes = (self.df.nbytes + _MAP_BYTES * len(self.index)
+                       + sum(o.nbytes + v.nbytes
+                             for o, v in self.cols.values()))
+
+    def row(self, t: str, r: int, pos: tuple | None) -> dict[str, Any]:
+        row = {"term": t, "df": int(self.df[r])}
+        for n, (offs, vals) in self.cols.items():
+            row[n] = vals[offs[r]:offs[r + 1]]
+        if pos is not None:
+            row["pos_enc"] = pos[1][pos[0][r]:pos[0][r + 1]]
+        return row
+
+
 class SegmentReader:
     """One segment's files read through the process's reader cache: the
-    docs table with its doc-length and tie-break arrays, the encoded
-    postings, and per term the decoded (ords, tfs), WAND's raw block
-    rows and the position slots, each cached on first read (absent
-    terms too)."""
+    docs table with its doc-length and tie-break arrays; the encoded
+    postings one parquet row group at a time (the file is sorted by
+    term, and its footer's per-row-group term bounds say which row group
+    can hold a term, so a miss reads that row group alone, as a
+    term-filtered read would); and per term the decoded (ords, tfs) and
+    the position slots, each cached on first read (absent terms too)."""
+
+    _COLS = ("df", "ords_enc", "tfs_enc", *_BLOCK_MAX_COLS, "blk_n")
 
     def __init__(self, seg_dir: str, codec: str = "varint",
                  block_size: int = 128):
@@ -1259,52 +1339,78 @@ class SegmentReader:
         self.key = (seg_dir, _file_id(self.docs_path), _file_id(self.path),
                     codec, block_size)
 
-    def encoded(self, column: str = "") -> pa.Table | pa.Array:
-        """The segment's encoded postings, read once: the table of
-        ``term``, ``df``, ``ords_enc``, ``tfs_enc``, the block skip data
-        and ``blk_n`` (bulk-merged runs' irregular block sizes, which the
-        pfor decoder MUST consult: decoding such a run without them
-        silently corrupts ordinals); or ``column`` alone (``pos_enc``,
-        which only the positional family reads), row-aligned with the
-        table.  A per-term read of a one-row-group file reads whole
-        column chunks anyway, so each later miss is an in-memory
-        select."""
-        key = (self.key, "encoded", column)
+    def _cached(self, kind: str, part: Any, read: Callable[[], Any],
+                nbytes: Callable[[Any], int]) -> Any:
+        key = (self.key, kind, part)
         e = _READERS.get(key)
         if e is not None:
             return e[0]
-        frag = _PARQUET.make_fragment(self.path, filesystem=_LOCAL_FS)
-        if column:
-            val = frag.to_table(columns=[column])[column].combine_chunks()
-        else:
-            have = frag.physical_schema.names
-            val = frag.to_table(columns=[
-                n for n in ("term", "df", "ords_enc", "tfs_enc",
-                            *_BLOCK_MAX_COLS, "blk_n") if n in have]
-            ).combine_chunks()
-        _READERS.put(key, val, val.nbytes)
+        val = read()
+        _READERS.put(key, val, nbytes(val))
         return val
 
+    def _layout(self) -> tuple[list[str], list[tuple[str, str] | None]]:
+        """(the postings columns, each row group's (first, last) term or
+        None when the footer has no bounds for it), from the footer."""
+        def read():
+            md = pq.read_metadata(self.path)
+            j = [md.schema.column(c).path
+                 for c in range(md.num_columns)].index("term")
+            bounds = []
+            for i in range(md.num_row_groups):
+                st = md.row_group(i).column(j).statistics
+                bounds.append((st.min, st.max) if st is not None
+                              and st.has_min_max else None)
+            return md.schema.to_arrow_schema().names, bounds
+        return self._cached("layout", "", read,
+                            lambda v: _MAP_BYTES * (1 + len(v[1])))
+
+    def _group(self, i: int) -> _RowGroup:
+        """Row group ``i`` of the postings, without ``pos_enc``."""
+        names = self._layout()[0]
+        return self._cached("rg", i, lambda: _RowGroup(
+            pq.ParquetFile(self.path).read_row_group(i, columns=[
+                "term", *(n for n in self._COLS if n in names)])),
+            lambda g: g.nbytes)
+
+    def _group_positions(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Row group ``i``'s ``pos_enc`` column, as ``_column_views``."""
+        return self._cached("rg_pos", i, lambda: _column_views(
+            pq.ParquetFile(self.path).read_row_group(
+                i, columns=["pos_enc"])["pos_enc"]),
+            lambda v: v[0].nbytes + v[1].nbytes)
+
     def rows(self, terms: Sequence[str] | None = None,
-             cols: Sequence[str] = (), positions: bool = False
-             ) -> dict[str, dict[str, Any]]:
-        """term -> its row (column -> value: ``term``, ``df``,
-        ``ords_enc``, ``tfs_enc``, ``cols``, ``blk_n`` when present and
-        ``pos_enc`` when ``positions``) of the present ``terms`` (None:
-        every term)."""
-        tbl = self.encoded()
-        sel = tbl.select([n for n in tbl.column_names if n in (
-            "term", "df", "ords_enc", "tfs_enc", *cols, "blk_n")])
-        mask = None if terms is None else pc.is_in(
-            tbl["term"], value_set=pa.array(list(terms), type=pa.string()))
-        if positions:
-            sel = sel.append_column("pos_enc", self.encoded("pos_enc"))
-        if mask is not None:
-            sel = sel.filter(mask)
-        return {row["term"]: row for row in sel.to_pylist()}
+             positions: bool = False) -> dict[str, dict[str, Any]]:
+        """term -> its postings row (column -> value: ``term``, ``df``,
+        ``ords_enc``, ``tfs_enc``, the block skip data, ``blk_n`` when
+        present and ``pos_enc`` when ``positions``; bytes and lists as
+        read-only views of the cached row group) of the present
+        ``terms`` (None: every term)."""
+        bounds = self._layout()[1]
+        want: dict[int, list[str] | None] = {}
+        for i, b in enumerate(bounds):
+            if terms is None:
+                want[i] = None
+                continue
+            ts = [t for t in terms if b is None or b[0] <= t <= b[1]]
+            if ts:
+                want[i] = ts
+        out: dict[str, dict[str, Any]] = {}
+        for i, ts in want.items():
+            g = self._group(i)
+            pos = self._group_positions(i) if positions else None
+            for t in (g.index if ts is None else ts):
+                r = g.index.get(t)
+                if r is not None and t not in out:
+                    out[t] = g.row(t, r, pos)
+        return out
 
     def decode(self, row: dict[str, Any]) -> tuple[np.ndarray, np.ndarray]:
-        """Decoded (ords, tfs) of one row of ``rows``."""
+        """Decoded (ords, tfs) of one row of ``rows``.  Bulk-merged
+        segments carry irregular block sizes (``blk_n``) that the pfor
+        decoder MUST consult: decoding such a run without them silently
+        corrupts ordinals."""
         return decode_posting_list(row["ords_enc"], row["tfs_enc"],
                                    codec=self.codec, df=row["df"],
                                    block_size=self.block_size,
@@ -1312,15 +1418,11 @@ class SegmentReader:
 
     def docs(self) -> tuple[pa.Table, np.ndarray, np.ndarray | None]:
         """(docs table, doc lengths, tie-break ranks)."""
-        key = (self.key, "docs", "")
-        e = _READERS.get(key)
-        if e is not None:
-            return e[0]
-        docs = pq.read_table(self.docs_path)
-        dl, tie = _doc_arrays(docs)
-        arrays = (dl,) if tie is None else (dl, tie)
-        _READERS.put(key, (docs, dl, tie), docs.nbytes + _frozen(*arrays))
-        return docs, dl, tie
+        def read():
+            docs = pq.read_table(self.docs_path)
+            return (docs, *_doc_arrays(docs))
+        return self._cached("docs", "", read, lambda v: v[0].nbytes + _frozen(
+            *(a for a in v[1:] if a is not None)))
 
     def decoded(self, terms: Sequence[str]
                 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
@@ -1333,20 +1435,6 @@ class SegmentReader:
                 out[t] = ((ords, tfs), _frozen(ords, tfs))
             return out
         return _READERS.terms((self.key, "ords"), terms, read)[0]
-
-    def blocks(self, terms: Sequence[str]) -> dict[str, dict[str, Any]]:
-        """The raw postings row (column -> value, with the per-block skip
-        data of ``_BLOCK_MAX_COLS``) of the present ``terms``."""
-        def read(missing):
-            out = {}
-            for t, row in self.rows(missing, _BLOCK_MAX_COLS).items():
-                skip = [n for n in (*_BLOCK_MAX_COLS, "blk_n") if n in row]
-                for n in skip:
-                    row[n] = np.asarray(row[n], dtype=np.int64)
-                out[t] = (row, len(row["ords_enc"]) + len(row["tfs_enc"])
-                          + _frozen(*(row[n] for n in skip)))
-            return out
-        return _READERS.terms((self.key, "blocks"), terms, read)[0]
 
     def slots(self, terms: Sequence[str]) -> "_Slots":
         """(ords, flat positions, offsets) slots of the present ``terms``,
@@ -1366,24 +1454,30 @@ class SegmentReader:
         return _Slots(prefix, ready, pending)
 
 
-class _Slots(dict):
-    """term -> position slot of one segment: the cached slots, plus the
-    read-but-undecoded rows of the others, decoded on first access (a
-    query whose other terms are absent from the segment decodes none)."""
+class _Slots:
+    """term -> position slot of one segment's present terms: the cached
+    slots, plus the read-but-undecoded rows of the others, decoded on
+    first access (a query whose other terms are absent from the segment
+    decodes none).  Lookups only: it cannot be iterated or sized."""
+
+    __iter__ = None
 
     def __init__(self, prefix: tuple, ready: dict, pending: dict):
-        super().__init__(ready)
         self._prefix = prefix
+        self._ready = ready
         self._pending = pending
 
     def __contains__(self, t) -> bool:
-        return dict.__contains__(self, t) or t in self._pending
+        return t in self._ready or t in self._pending
 
-    def __missing__(self, t):
-        ords, tfs, pe = self._pending.pop(t)      # KeyError when absent
-        slot = (ords, *decode_positions(pe, tfs))
-        _READERS.put((*self._prefix, t), slot, _frozen(*slot), decoded=True)
-        self[t] = slot
+    def __getitem__(self, t):
+        slot = self._ready.get(t)
+        if slot is None:
+            ords, tfs, pe = self._pending.pop(t)    # KeyError when absent
+            slot = (ords, *decode_positions(pe, tfs))
+            _READERS.put((*self._prefix, t), slot, _frozen(*slot),
+                         decoded=True)
+            self._ready[t] = slot
         return slot
 
     def get(self, t, default=None):
@@ -1593,13 +1687,13 @@ class SegmentSearcher:
         reads them: the positional family (``_POSITIONAL``) gets
         (ords, flat positions, offsets) slots, each decoded at most once
         for the whole query batch and only when a kernel asks; WAND gets
-        the raw posting rows (column -> value, with the per-block skip
-        data: it decodes only the blocks its bounds keep); every other
-        mode gets (ords, tfs), read without positions."""
+        the encoded posting rows (column -> value, with the per-block
+        skip data: it decodes only the blocks its bounds keep); every
+        other mode gets (ords, tfs), read without positions."""
         if mode in self._POSITIONAL:
             return reader.slots(terms)
         if mode == "wand":
-            return reader.blocks(terms)
+            return reader.rows(terms)
         return reader.decoded(terms)
 
     def _search_segment(self, seg_dir: str) -> pa.Table | None:

@@ -8,10 +8,10 @@ and one CPU, created once and reused across searches.
 Neither path holds a cache of its own.  Every process that runs the
 segment kernel (``query.SegmentSearcher``) reads segments through its
 process-wide ``query.SegmentReader`` cache: the docs tables, the
-encoded postings, and per term the decoded postings, WAND's block rows
-and the position slots, in one byte-bounded LRU
-(``query.READER_CACHE_BYTES``) keyed by the segment files' identity —
-the analog of the reference's held-open
+encoded postings row group by row group, and per term the decoded
+postings and the position slots, in one byte-bounded LRU (the
+process's share of ``query.READER_CACHE_NODE_BYTES``) keyed by the
+segment files' identity — the analog of the reference's held-open
 ``JVectorReader`` (S5, `JVectorReader.java:42-331`) and node-level
 ``QuantizationStateCache`` (T6,
 `quantization/models/quantizationState/QuantizationStateCache.java`).
@@ -79,7 +79,11 @@ class SegmentShardActor:
 
     def cache_stats(self) -> dict:
         """This actor process's reader-cache counters
-        (``query.reader_cache_stats``)."""
+        (``query.reader_cache_stats``): ``hits`` and ``misses`` count
+        per-term lookups of decoded postings and position slots (the
+        old actor term cache counted the decoded ones alone), and
+        ``cached_terms`` the per-term entries held, absent terms
+        included."""
         return reader_cache_stats()
 
 

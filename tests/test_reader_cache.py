@@ -75,12 +75,11 @@ def test_budget_bounds_bytes_and_counts_evictions(idx, fresh_cache,
     modes = ("taat", "wand", "phrase", "span")
     want = {m: s.search(QUERIES, k=7, mode=m) for m in modes}
     st = query.reader_cache_stats()
-    assert st["evictions"] == 0 and st["bytes"] <= query.READER_CACHE_BYTES
+    assert st["evictions"] == 0 and st["bytes"] <= query._READERS.budget
     assert st["misses"] > 0 and st["cached_terms"] > 0
 
     budget = 20_000
-    monkeypatch.setattr(query, "READER_CACHE_BYTES", budget)
-    monkeypatch.setattr(query, "_READERS", query._ReaderCache())
+    monkeypatch.setattr(query, "_READERS", query._ReaderCache(budget))
     for _ in range(2):
         for m in modes:
             got = s.search(QUERIES, k=7, mode=m)
@@ -122,6 +121,13 @@ def test_reader_entries_match_the_files(idx, fresh_cache):
         np.testing.assert_array_equal(a, b)
     docs, dl, _ = r.docs()
     assert docs.num_rows == len(dl) and r.docs()[0] is docs
+    # hits and misses count per-term lookups only, not docs or row reads
+    counts = (fresh_cache.hits, fresh_cache.misses)
+    r.docs()
+    r.rows(["data"], positions=True)
+    assert (fresh_cache.hits, fresh_cache.misses) == counts
+    with pytest.raises(TypeError):
+        list(r.slots(["data", "model"]))
 
 
 def test_positions_decode_only_when_a_kernel_asks(tmp_path, fresh_cache,
@@ -198,14 +204,12 @@ def test_cache_accounting_holds_under_threads(monkeypatch):
     import sys
     import threading
 
-    monkeypatch.setattr(query, "READER_CACHE_BYTES", 50_000)
-    cache = query._ReaderCache()
+    cache = query._ReaderCache(50_000)
 
     def work(w):
         for i in range(2_000):
-            key = ("seg", "ords", f"t{(w * 7 + i) % 300}")
-            if cache.get(key) is None:
-                cache.put(key, None, 100 + i % 50)
+            cache.terms(("seg", "ords"), [f"t{(w * 7 + i) % 300}"],
+                        lambda ts: {t: (t, 100 + i % 50) for t in ts})
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -221,3 +225,101 @@ def test_cache_accounting_holds_under_threads(monkeypatch):
     assert cache.bytes == sum(n for _, n in cache.entries.values())
     assert cache.bytes <= 50_000 and cache.evictions > 0
     assert cache.hits + cache.misses == 8 * 2_000
+
+
+def test_an_entry_over_a_quarter_of_the_budget_is_not_admitted():
+    """An entry that would flush most of the cache is handed back
+    uncached, and nothing already held is evicted for it."""
+    cache = query._ReaderCache(4_000)
+    cache.put(("a",), 1, 500)
+    cache.put(("big",), 2, 1_000)       # 1,000 + 128 > 4,000 // 4
+    assert list(cache.entries) == [("a",)]
+    assert cache.bytes == 500 + query._ENTRY_BYTES and cache.evictions == 0
+
+
+def test_budget_is_the_process_share_of_the_node_figure():
+    """A Ray worker's budget is the node figure split over one process
+    per CPU the node reports plus the driver."""
+    import ray
+
+    @ray.remote
+    def budget():
+        return query._ReaderCache().budget
+    cpus = int(ray.cluster_resources()["CPU"])
+    assert ray.get(budget.remote()) == \
+        query.READER_CACHE_NODE_BYTES // (cpus + 1)
+
+
+@pytest.fixture(scope="module")
+def wide(tmp_path_factory):
+    """Two segments whose vocabularies each span several 4,096-term
+    row groups: every doc holds 60 words of its own besides a few
+    shared ones."""
+    texts = []
+    for i in range(160):
+        own = " ".join(f"w{i * 60 + j:05d}" for j in range(60))
+        shared = " ".join(["alpha"] * (1 + i % 3)
+                          + (["beta gamma"] if i % 2 else ["gamma"]))
+        texts.append(f"{shared} {own} alpha beta")
+    tbl = _corpus(texts)
+    d = str(tmp_path_factory.mktemp("wide") / "idx")
+    build_index(rd.from_arrow(tbl), d, EngineConfig(num_segments=2),
+                IndexSpec())
+    return d, tbl
+
+
+def test_a_miss_reads_only_the_row_group_holding_the_term(wide,
+                                                          fresh_cache):
+    """On a segment of several row groups, a term's first read reads the
+    one row group whose footer bounds hold it; a term outside every
+    row group's bounds reads none."""
+    d, _ = wide
+    s = IndexSearcher(d)
+    for seg in s.seg_dirs:
+        fresh_cache.entries.clear()
+        r = SegmentReader(seg, s.cfg.codec, s.cfg.block_size)
+        bounds = r._layout()[1]
+        assert len(bounds) >= 2
+        last = bounds[-1][1]
+        assert set(r.decoded([last, "zzzz"])) == {last}
+        assert {k[2] for k in fresh_cache.entries if k[1] == "rg"} == \
+            {len(bounds) - 1}
+        row, = r.rows([last]).values()
+        np.testing.assert_array_equal(r.decode(row)[0],
+                                      r.decoded([last])[last][0])
+
+
+@pytest.mark.parametrize("budget", [None, 60_000])
+def test_multi_row_group_search_equals_the_oracle(wide, monkeypatch,
+                                                  budget):
+    """taat, wand and phrase over multi-row-group segments equal the
+    brute-force oracle, with the default budget and with one too small
+    to admit a row group (every miss then re-reads its row group)."""
+    d, tbl = wide
+    _in_process(monkeypatch)
+    monkeypatch.setattr(query, "_READERS", query._ReaderCache(budget))
+    cfg = EngineConfig(num_segments=2)
+    docs = {(tbl["conv_id"][i].as_py(), tbl["turn_idx"][i].as_py()):
+            tbl["text"][i].as_py() for i in range(tbl.num_rows)}
+    oracle = BruteForceBM25(docs, cfg.stopwords)
+    qs = {"a": "alpha w00061 w09555", "b": "beta gamma w04100",
+          "c": "w00000 w04799 w09599 alpha"}
+    s = IndexSearcher(d)
+    for _ in range(2):
+        taat = s.search(qs, k=9)
+        for qid, text in qs.items():
+            got = taat[taat["query_id"] == qid]
+            gold = oracle.topk(text, 9)
+            assert [(r.conv_id, r.turn_idx) for r in got.itertuples()] \
+                == [key for key, _ in gold]
+            np.testing.assert_allclose(got["score"].to_numpy(),
+                                       [sc for _, sc in gold], rtol=1e-9)
+        pd.testing.assert_frame_equal(s.search(qs, k=9, mode="wand"), taat,
+                                      check_exact=True)
+        phrase = s.search({"p": "beta gamma"}, k=200, mode="phrase")
+        assert sorted(phrase["conv_id"]) == [f"c{i:04d}"
+                                             for i in range(1, 160, 2)]
+    if budget is not None:
+        st = query.reader_cache_stats()
+        assert st["bytes"] <= budget
+        assert not any(k[1] == "rg" for k in query._READERS.entries)
