@@ -30,6 +30,7 @@ rank-identity requirement, SURVEY §7 "hard parts").
 
 from __future__ import annotations
 
+import bisect
 import os
 import threading
 from collections import OrderedDict
@@ -1146,8 +1147,9 @@ def _doc_arrays(docs: pa.Table) -> tuple[np.ndarray, np.ndarray | None]:
 # processes hold a cache.
 
 READER_CACHE_NODE_BYTES = 1 << 30  # one node's budget, in bytes
-_ENTRY_BYTES = 128                 # charged per entry besides its arrays
-_MAP_BYTES = 100                   # charged per term of a row group's map
+# charged per entry besides its arrays: its key, LRU node, value tuple
+# and array headers (a one-posting decoded term measured ~560 bytes)
+_ENTRY_BYTES = 512
 # the per-term namespaces (decoded (ords, tfs), position slots,
 # dictionary df): hits and misses count lookups of these alone
 _TERM_KEYS = ("ords", "pos", "df")
@@ -1276,8 +1278,8 @@ def _frozen(*arrays: np.ndarray) -> int:
 
 
 def _column_views(col: pa.ChunkedArray) -> tuple[np.ndarray, np.ndarray]:
-    """(row offsets, flat values) of a binary or list column, row r
-    being ``values[offsets[r]:offsets[r + 1]]``: bytes as a zero-copy
+    """(row offsets, flat values) of a binary, string or list column,
+    row r being ``values[offsets[r]:offsets[r + 1]]``: bytes as a zero-copy
     uint8 view, list values as int64, both read-only."""
     col = col.combine_chunks()
     if col.null_count:
@@ -1287,8 +1289,9 @@ def _column_views(col: pa.ChunkedArray) -> tuple[np.ndarray, np.ndarray]:
         vals = col.values.to_numpy(zero_copy_only=False).astype(
             np.int64, copy=False)
     else:
-        offs = np.frombuffer(col.buffers()[1], dtype=np.int64
-                             if pa.types.is_large_binary(col.type)
+        large = (pa.types.is_large_binary(col.type)
+                 or pa.types.is_large_string(col.type))
+        offs = np.frombuffer(col.buffers()[1], dtype=np.int64 if large
                              else np.int32)[col.offset:
                                             col.offset + len(col) + 1]
         data = col.buffers()[2]
@@ -1300,21 +1303,35 @@ def _column_views(col: pa.ChunkedArray) -> tuple[np.ndarray, np.ndarray]:
 
 class _RowGroup:
     """One row group of a postings file, every column but ``pos_enc``,
-    as read-only numpy views, with its term -> row map."""
+    as read-only numpy views; a term's row is found by binary search of
+    the term column, which every postings writer sorts."""
 
     def __init__(self, tbl: pa.Table):
-        self.index = {t: r for r, t in enumerate(tbl["term"].to_pylist())}
+        t = tbl["term"]
+        if len(t) > 1 and not pc.all(pc.less(t[:-1], t[1:])).as_py():
+            raise ValueError("postings row group is not sorted by term")
         self.df = tbl["df"].to_numpy(zero_copy_only=False)
         self.cols = {n: _column_views(tbl[n]) for n in tbl.column_names
-                     if n not in ("term", "df")}
-        self.nbytes = (self.df.nbytes + _MAP_BYTES * len(self.index)
-                       + sum(o.nbytes + v.nbytes
-                             for o, v in self.cols.values()))
+                     if n != "df"}
+        self.n = tbl.num_rows
+        self.nbytes = self.df.nbytes + sum(o.nbytes + v.nbytes
+                                           for o, v in self.cols.values())
+
+    def term(self, r: int) -> bytes:
+        offs, vals = self.cols["term"]
+        return vals[offs[r]:offs[r + 1]].tobytes()
+
+    def find(self, t: str) -> int | None:
+        """The row of term ``t``, or None."""
+        tb = t.encode()
+        r = bisect.bisect_left(range(self.n), tb, key=self.term)
+        return r if r < self.n and self.term(r) == tb else None
 
     def row(self, t: str, r: int, pos: tuple | None) -> dict[str, Any]:
         row = {"term": t, "df": int(self.df[r])}
         for n, (offs, vals) in self.cols.items():
-            row[n] = vals[offs[r]:offs[r + 1]]
+            if n != "term":
+                row[n] = vals[offs[r]:offs[r + 1]]
         if pos is not None:
             row["pos_enc"] = pos[1][pos[0][r]:pos[0][r + 1]]
         return row
@@ -1363,7 +1380,7 @@ class SegmentReader:
                               and st.has_min_max else None)
             return md.schema.to_arrow_schema().names, bounds
         return self._cached("layout", "", read,
-                            lambda v: _MAP_BYTES * (1 + len(v[1])))
+                            lambda v: _ENTRY_BYTES * len(v[1]))
 
     def _group(self, i: int) -> _RowGroup:
         """Row group ``i`` of the postings, without ``pos_enc``."""
@@ -1400,8 +1417,13 @@ class SegmentReader:
         for i, ts in want.items():
             g = self._group(i)
             pos = self._group_positions(i) if positions else None
-            for t in (g.index if ts is None else ts):
-                r = g.index.get(t)
+            if ts is None:
+                for r in range(g.n):
+                    t = g.term(r).decode()
+                    out[t] = g.row(t, r, pos)
+                continue
+            for t in ts:
+                r = g.find(t)
                 if r is not None and t not in out:
                     out[t] = g.row(t, r, pos)
         return out

@@ -230,11 +230,12 @@ def test_cache_accounting_holds_under_threads(monkeypatch):
 def test_an_entry_over_a_quarter_of_the_budget_is_not_admitted():
     """An entry that would flush most of the cache is handed back
     uncached, and nothing already held is evicted for it."""
-    cache = query._ReaderCache(4_000)
-    cache.put(("a",), 1, 500)
-    cache.put(("big",), 2, 1_000)       # 1,000 + 128 > 4,000 // 4
+    quarter = 2_000
+    cache = query._ReaderCache(4 * quarter)
+    cache.put(("a",), 1, quarter - query._ENTRY_BYTES)
+    cache.put(("big",), 2, quarter - query._ENTRY_BYTES + 1)
     assert list(cache.entries) == [("a",)]
-    assert cache.bytes == 500 + query._ENTRY_BYTES and cache.evictions == 0
+    assert cache.bytes == quarter and cache.evictions == 0
 
 
 def test_budget_is_the_process_share_of_the_node_figure():
