@@ -46,6 +46,7 @@ import ray
 
 from opensearch_jvector_ray.analyze import query_term_weights
 from opensearch_jvector_ray.config import EngineConfig
+from opensearch_jvector_ray.fanout import fan_out as _fan_out
 from opensearch_jvector_ray.functions.scoring import (
     bm25_idf, bm25_tf_part, quantize_doc_len,
 )
@@ -53,7 +54,8 @@ from opensearch_jvector_ray.postings import (
     decode_blocks, decode_posting_list, decode_positions,
 )
 from opensearch_jvector_ray.state.manifest import (
-    CONFIG_NAME, DOCS_NAME, POSTINGS_NAME, SEGMENTS_DIR, STATS_NAME, read_json,
+    CONFIG_NAME, DOCS_NAME, POSTINGS_NAME, SEGMENTS_DIR, STATS_NAME, file_id,
+    read_json,
 )
 
 
@@ -1264,11 +1266,6 @@ def reader_cache_stats() -> dict[str, int]:
     return _READERS.stats()
 
 
-def _file_id(path: str) -> tuple[int, int, int]:
-    st = os.stat(path)
-    return st.st_ino, st.st_mtime_ns, st.st_size
-
-
 def _frozen(*arrays: np.ndarray) -> int:
     """Mark cached arrays read-only (a kernel that wrote into one would
     corrupt every later query) and return their bytes."""
@@ -1353,7 +1350,7 @@ class SegmentReader:
         self.path = os.path.join(seg_dir, POSTINGS_NAME)
         self.docs_path = os.path.join(seg_dir, DOCS_NAME)
         self.codec, self.block_size = codec, block_size
-        self.key = (seg_dir, _file_id(self.docs_path), _file_id(self.path),
+        self.key = (seg_dir, file_id(self.docs_path), file_id(self.path),
                     codec, block_size)
 
     def _cached(self, kind: str, part: Any, read: Callable[[], Any],
@@ -2388,39 +2385,6 @@ class SegmentSearcher:
 # query-time fan-out
 # ---------------------------------------------------------------------------
 
-@ray.remote
-def _run_task(fn: Callable[..., pa.Table], batch: pa.Table,
-              kw: dict) -> pa.Table:
-    return fn(batch, **kw)
-
-
-def _fan_out(fn: Callable[..., pa.Table], items: Sequence[dict],
-             concurrency: int | None = None, **kw) -> list[pa.Table]:
-    """Run ``fn(batch, **kw)`` as plain Ray tasks, one per item (a
-    ``{"seg_dir": d}`` row, or a per-field slot of segment dirs), and
-    return the tables in item order.  ``kw`` is put in the object store
-    once for all tasks.  ``concurrency`` caps the task count: the items
-    split into that many contiguous batches (None or 0: no cap).
-
-    Plain tasks, because a query's kernel work is less than what a Ray
-    Data dataset costs to plan and start (~25 vs ~70 ms per call on a
-    2-segment, 36k-turn index, one CPU), and because an idle actor pool
-    would hold CPUs the serving actors need.  Build and merge, which stream the corpus,
-    stay on Ray Data."""
-    items = list(items)
-    if concurrency is not None and concurrency < 0:
-        raise ValueError(f"concurrency must be >= 1, or None/0 for one "
-                         f"task per item; got {concurrency}")
-    if not items:
-        return []
-    n = min(concurrency or len(items), len(items))
-    cuts = [len(items) * i // n for i in range(n + 1)]
-    kw_ref = ray.put(kw)
-    return ray.get([
-        _run_task.remote(fn, pa.Table.from_pylist(items[lo:hi]), kw_ref)
-        for lo, hi in zip(cuts, cuts[1:])])
-
-
 def _search_segments_task(batch: pa.Table, payload: dict) -> pa.Table:
     """Stateless per-task wrapper around SegmentSearcher."""
     return SegmentSearcher(payload)(batch)
@@ -2694,7 +2658,7 @@ class IndexSearcher:
                                 columns=["term", "df"])
             return {t: (df, len(t)) for t, df in zip(
                 tbl["term"].to_pylist(), tbl["df"].to_pylist())}
-        key = (tuple((f, *_file_id(f)) for f in files), "df")
+        key = (tuple((f, *file_id(f)) for f in files), "df")
         return _READERS.terms(key, terms, read)[0]
 
     def _read_dictionary(self, filters=None) -> pa.Table:

@@ -20,7 +20,11 @@ Three physical plans (streaming-executed):
       dedup -> tombstone anti-join -> ordinals -> tokenize -> vectorized
       posting build -> postings/docs parquet + manifest (atomic).
     Then: dictionary aggregation over per-segment (term, df, cf) partials
-      (two-phase salted groupby) + global stats.json.
+      (one Arrow group_by, or a two-phase salted groupby at scale) +
+      global stats.json.  An append (``add_segments``) runs path input's
+      fragments as plain Ray tasks, and its refresh sums the last
+      dictionary generation with the new segments' partials when
+      stats.json proves that generation current.
 
 Scale/skew notes (explicit, per the north rule):
   - The shuffle is keyed on hash(conv_id): uniform by construction, and it
@@ -57,11 +61,12 @@ from ray.data.aggregate import Sum
 
 from opensearch_jvector_ray.analyze import tokenize
 from opensearch_jvector_ray.config import EngineConfig
+from opensearch_jvector_ray.fanout import fan_out
 from opensearch_jvector_ray.postings import build_postings_table
 from opensearch_jvector_ray.state.manifest import (
-    CONFIG_NAME, DOCS_NAME, POSTINGS_NAME, STATS_NAME,
-    SegmentManifest, StageTimer, completed_segments, segment_dir,
-    write_json_atomic,
+    CONFIG_NAME, DICT_GEN_PREFIX, DICTIONARY_NAME, DOCS_NAME, POSTINGS_NAME,
+    STATS_NAME, SegmentManifest, StageTimer, completed_segments,
+    dict_generations, file_id, segment_dir, write_json_atomic,
 )
 
 SEG_COL = "__seg"
@@ -71,6 +76,9 @@ POSTINGS_ROW_GROUP = 4 * 1024
 # runs in-process (one Arrow group_by beats five Ray stage latencies); at
 # scale the salted two-phase Ray path takes over
 DICT_LOCAL_MAX_PARTIALS = 4_000_000
+# stats.json key of the record that says which segments the latest
+# dictionary generation sums (``aggregate_dictionary``)
+COVERAGE_KEY = "dictionary_coverage"
 
 
 @dataclass(frozen=True)
@@ -138,6 +146,17 @@ def build_fingerprint(cfg: EngineConfig, spec: IndexSpec) -> str:
             + hashlib.md5(spec_j.encode()).hexdigest()[:10])
 
 
+def _foreign_segments(manifests: dict[int, SegmentManifest],
+                      cfg: EngineConfig, fingerprint: str) -> list[int]:
+    """Segments built under another config or spec.  A manifest written
+    before the spec joined the fingerprint (the v1 BWC fixtures) carries
+    the bare ``cfg.fingerprint()``; the index's config.json is then the
+    only record of its spec, and the segment counts as ours."""
+    ours = (fingerprint, cfg.fingerprint())
+    return sorted(s for s, m in manifests.items()
+                  if m.config_fingerprint not in ours)
+
+
 def _last_write_wins(group: pa.Table, spec: IndexSpec) -> pa.Table:
     """Keep the newest row per key (rows already sorted by key asc, ts asc).
 
@@ -201,6 +220,7 @@ def make_segment_builder(index_dir: str, cfg: EngineConfig, spec: IndexSpec,
                          lineage: dict[str, Any] | None,
                          deletes: Sequence[tuple] | None = None):
     """Returns the map_groups fn that builds + persists ONE segment."""
+    fingerprint = build_fingerprint(cfg, spec)
 
     def build_segment(group: pa.Table,
                       lineage_extra: dict[str, Any] | None = None) -> pa.Table:
@@ -255,7 +275,7 @@ def make_segment_builder(index_dir: str, cfg: EngineConfig, spec: IndexSpec,
             num_terms=postings.num_rows,
             num_postings=int(pc.sum(postings["df"]).as_py() or 0),
             rows_in=rows_in,
-            config_fingerprint=build_fingerprint(cfg, spec),
+            config_fingerprint=fingerprint,
             lineage={**(lineage or {}), **(lineage_extra or {})},
             timings_sec={k: round(v, 4) for k, v in timer.timings.items()},
         )
@@ -269,65 +289,114 @@ def make_segment_builder(index_dir: str, cfg: EngineConfig, spec: IndexSpec,
     return build_segment
 
 
+def _stamp(path: str) -> str:
+    return "%d:%d:%d" % file_id(path)
+
+
+def _dictionary_base(index_dir: str, gen: int,
+                     live: set[int]) -> tuple[str, set[int]] | None:
+    """Generation ``gen``'s dictionary file and the segments it sums,
+    when the coverage record in stats.json proves both: the record names
+    that generation and that file, and every segment it covers is live
+    with the postings file it was read from.  None otherwise (no record,
+    a crash between the publish and the stats.json write, a segment
+    rebuilt or gone)."""
+    from opensearch_jvector_ray.state.manifest import read_json
+    path = os.path.join(index_dir, "dictionary",
+                        f"{DICT_GEN_PREFIX}{gen:010d}", DICTIONARY_NAME)
+    try:
+        cov = read_json(os.path.join(index_dir, STATS_NAME))[COVERAGE_KEY]
+        covered = {int(s): st for s, st in cov["segments"].items()}
+        if (cov["gen"] != gen or cov["dictionary"] != _stamp(path)
+                or not covered.keys() <= live
+                or any(_stamp(os.path.join(segment_dir(index_dir, s),
+                                           POSTINGS_NAME)) != st
+                       for s, st in covered.items())):
+            return None
+    except (OSError, ValueError, LookupError):
+        return None
+    return path, set(covered)
+
+
 def aggregate_dictionary(index_dir: str, cfg: EngineConfig,
-                         segs: Sequence[int]) -> None:
+                         segs: Sequence[int]) -> dict[str, Any]:
     """Global term dictionary: df/cf summed over per-segment partials.
 
     This is the true global aggregate BM25 needs (A2: df(term), N, avgdl —
     per-partition values would silently break score identity, SURVEY §7).
-    Two-phase salted aggregation; see module docstring for why.
-    """
+
+    The input list is every segment's (term, df, cf) partials, or, when
+    stats.json's coverage record proves the latest generation current
+    (``_dictionary_base``), that generation's table plus the partials of
+    the live segments it does not cover: an append then reads the last
+    generation and its new segments, not every segment again (term
+    statistics kept over an append stream, as in *Top-K Frequent Term
+    Queries on Streaming Data*, ICDE 2019).  Either list runs through the
+    same Arrow group_by sum, sort and write.  Above
+    ``DICT_LOCAL_MAX_PARTIALS`` input rows, every segment's partials go
+    through the two-phase salted Ray Data aggregation instead (see the
+    module docstring).
+
+    Returns ``{"inputs": tables read, "coverage": record}``; the caller
+    writes the record into stats.json after this publish.  The record is
+    None for the salted path, whose output is not one file."""
     import shutil as _sh
 
-    from opensearch_jvector_ray.state.manifest import (
-        DICT_GEN_PREFIX, dict_generations)
     root = os.path.join(index_dir, "dictionary")
-    paths = [os.path.join(segment_dir(index_dir, s), POSTINGS_NAME) for s in segs]
-    paths = [p for p in paths if os.path.exists(p)]
+    paths = {s: os.path.join(segment_dir(index_dir, s), POSTINGS_NAME)
+             for s in segs}
+    paths = {s: p for s, p in paths.items() if os.path.exists(p)}
+    os.makedirs(root, exist_ok=True)
     if not paths:
-        os.makedirs(root, exist_ok=True)
-        return
+        return {"inputs": 0, "coverage": None}
     # publish-then-point: build the refreshed table in a hidden temp dir,
     # then atomically rename it to the next generation.  In-place rewrites
     # would yank the df/cf files out from under open readers / PIT handles.
     gens = dict_generations(index_dir)
     gen = (gens[-1] + 1) if gens else 1
-    os.makedirs(root, exist_ok=True)
     dict_dir = os.path.join(root, f".tmp-{DICT_GEN_PREFIX}{gen:010d}.{os.getpid()}")
     _sh.rmtree(dict_dir, ignore_errors=True)
 
-    def _publish() -> None:
+    def _publish() -> str:
         nonlocal gen
         while True:
             final = os.path.join(root, f"{DICT_GEN_PREFIX}{gen:010d}")
             try:
                 os.rename(dict_dir, final)
-                return
+                return final
             except OSError:
                 if not os.path.isdir(final):
                     raise
                 gen += 1          # concurrent publisher took this gen
 
+    # stamped BEFORE the reads: a file replaced mid-read then fails the
+    # next append's check instead of passing it
+    stamps = {str(s): _stamp(p) for s, p in paths.items()}
+    base = _dictionary_base(index_dir, gens[-1], set(paths)) if gens else None
+    inputs = list(paths.values()) if base is None else (
+        [base[0]] + [paths[s] for s in sorted(paths.keys() - base[1])])
     # Adaptive: below ~4M partial rows the whole aggregation fits in one
     # process — do it with a single Arrow group_by instead of paying five
     # Ray stage latencies.  (The distributed path below is the 100 TB
     # shape; this is the same partial-rows input either way.)
-    total_partials = sum(pq.read_metadata(p).num_rows for p in paths)
-    if total_partials <= DICT_LOCAL_MAX_PARTIALS:
+    if sum(pq.read_metadata(p).num_rows for p in inputs) <= DICT_LOCAL_MAX_PARTIALS:
+        schema = pa.schema([("term", pa.string()), ("df", pa.int64()),
+                            ("cf", pa.int64())])
         tbl = pa.concat_tables([
-            pq.read_table(p, columns=["term", "df", "cf"]) for p in paths])
+            pq.read_table(p, columns=["term", "df", "cf"]).cast(schema)
+            for p in inputs])
         agg = tbl.group_by("term").aggregate([("df", "sum"), ("cf", "sum")])
         agg = agg.rename_columns(["term", "df", "cf"])
         agg = agg.take(pc.sort_indices(agg["term"]))
-        agg = agg.set_column(1, "df", pc.cast(agg["df"], pa.int64()))
-        agg = agg.set_column(2, "cf", pc.cast(agg["cf"], pa.int64()))
         os.makedirs(dict_dir, exist_ok=True)
-        pq.write_table(agg, os.path.join(dict_dir, "dictionary.parquet"),
+        pq.write_table(agg, os.path.join(dict_dir, DICTIONARY_NAME),
                        row_group_size=DICT_ROW_GROUP)
-        _publish()
-        return
+        final = _publish()
+        return {"inputs": len(inputs), "coverage": {
+            "gen": gen, "dictionary": _stamp(os.path.join(final, DICTIONARY_NAME)),
+            "segments": stamps}}
 
-    stats_ds = rd.read_parquet(paths, columns=["term", "df", "cf"])
+    stats_ds = rd.read_parquet(list(paths.values()), columns=["term", "df", "cf"])
 
     def add_salt(batch: pa.Table) -> pa.Table:
         salt = (stable_hash_strings(batch["term"]) % np.uint64(16)).astype(np.int32)
@@ -344,6 +413,7 @@ def aggregate_dictionary(index_dir: str, cfg: EngineConfig,
     os.makedirs(dict_dir, exist_ok=True)
     final.write_parquet(dict_dir)
     _publish()
+    return {"inputs": len(paths), "coverage": None}
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +493,12 @@ class BuildResult:
     segments_skipped: int
     build_sec: float
     stats: dict[str, Any] = field(default_factory=dict)
+    # the split of build_sec: building the segments, then refreshing the
+    # dictionary, and how many tables that refresh read (every segment,
+    # or the last generation plus the segments it does not cover)
+    segments_sec: float = 0.0
+    dictionary_sec: float = 0.0
+    dictionary_inputs: int = 0
 
 
 def build_index(source: "rd.Dataset | str | list[str]", index_dir: str,
@@ -469,11 +545,12 @@ def build_index(source: "rd.Dataset | str | list[str]", index_dir: str,
     # re-run into an existing index_dir silently mixes segments built
     # under different analyzers); fragment-lineage is checked per-plan-item
     # below for the fragments path.
+    fingerprint = build_fingerprint(cfg, spec)
     prior = completed_segments(index_dir)
     done = frozenset(s for s, m in prior.items()
-                     if m.config_fingerprint == build_fingerprint(cfg,
-                                                                  spec))
+                     if m.config_fingerprint == fingerprint)
     n_skipped = len(done)
+    t_seg = time.perf_counter()
 
     if mode == "staged":
         # Disk-staged repartition (the external-shuffle shape used by
@@ -493,7 +570,7 @@ def build_index(source: "rd.Dataset | str | list[str]", index_dir: str,
         # under: a crash-then-reconfigure rerun (different num_segments
         # or spec) must re-stage, not build from a stale P-way
         # partitioning while recording the new partition lineage
-        stamp = {"ok": True, "fp": build_fingerprint(cfg, spec),
+        stamp = {"ok": True, "fp": fingerprint,
                  "num_segments": cfg.num_segments}
         prior_stamp = None
         if os.path.exists(done_path):
@@ -592,7 +669,8 @@ def build_index(source: "rd.Dataset | str | list[str]", index_dir: str,
             # consume: per-segment one-row summaries (tiny)
             shuffled.take_all()
 
-    return _finish_index(index_dir, cfg, spec, t0, n_skipped)
+    return _finish_index(index_dir, cfg, spec, t0, n_skipped,
+                         time.perf_counter() - t_seg)
 
 
 def _append_journal_path(index_dir: str, fp: str) -> str:
@@ -627,10 +705,18 @@ def add_segments(index_dir: str, source: "rd.Dataset | str | list[str]",
     The reference's continuous-indexing lifecycle (a flush adds segments;
     IDF/dictionary refresh on commit — S2/T3): existing segments are
     untouched, new ones take the next ids, and the global df/N/avgdl are
-    re-aggregated over ALL segments so BM25 scores stay exact.  Duplicate
+    refreshed over ALL segments so BM25 scores stay exact.  Duplicate
     keys across old and new data follow the add-without-delete rule (both
     retrievable); route updates through merge-with-tombstones or an LWW
     rebuild.
+
+    Path input builds its planned fragments as plain Ray tasks
+    (``fanout.fan_out``), one per fragment; Dataset input goes through
+    the Ray Data staged repartition.  The dictionary refresh reads the
+    last generation plus the new segments when stats.json's coverage
+    record proves that generation current, and every segment otherwise
+    (``aggregate_dictionary``).  The result's ``segments_sec``,
+    ``dictionary_sec`` and ``dictionary_inputs`` split the append's time.
 
     Resumable via an append JOURNAL: before building, the append's base
     segment id is recorded under ``_appends/<fingerprint>.json`` keyed by
@@ -650,8 +736,7 @@ def add_segments(index_dir: str, source: "rd.Dataset | str | list[str]",
                      store_cols=tuple(meta["spec"]["store_cols"]),
                      ts_col=meta["spec"]["ts_col"])
     prior = completed_segments(index_dir)
-    mixed = sorted(s for s, m in prior.items()
-                   if m.config_fingerprint != build_fingerprint(cfg, spec))
+    mixed = _foreign_segments(prior, cfg, build_fingerprint(cfg, spec))
     if mixed:
         raise ValueError(f"index dir {index_dir!r} has segments {mixed} "
                          f"with a foreign config fingerprint — refusing "
@@ -672,6 +757,7 @@ def add_segments(index_dir: str, source: "rd.Dataset | str | list[str]",
         # idempotent re-append: everything already built; refresh only
         return _finish_index(index_dir, cfg, spec, t0, len(prior))
 
+    t_seg = time.perf_counter()
     if is_paths:
         total_rows = sum(pq.read_metadata(p).num_rows for p in paths)
         target = min(cfg.target_docs_per_segment,
@@ -703,12 +789,9 @@ def add_segments(index_dir: str, source: "rd.Dataset | str | list[str]",
                 f"append; re-run with a distinct lineage= to journal "
                 f"a fresh base (or delete the stale journal "
                 f"{jpath!r})")
-        if todo:
-            (rd.from_items(todo)
-               .map_batches(make_fragment_builder(index_dir, cfg, spec,
-                                                  lineage),
-                            batch_format="pyarrow", batch_size=1)
-               .take_all())
+        # one plain Ray task per fragment: a Ray Data dataset costs more
+        # to plan and start than an append's few segment builds
+        fan_out(make_fragment_builder(index_dir, cfg, spec, lineage), todo)
         n_skipped = len(plan) - len(todo) + len(prior)
     else:
         # Dataset input: DISK-STAGED repartition into num_segments NEW
@@ -770,16 +853,15 @@ def add_segments(index_dir: str, source: "rd.Dataset | str | list[str]",
         _sh.rmtree(staging, ignore_errors=True)
         n_skipped = len(prior)
     write_json_atomic(jpath, {**journal, "complete": True})
-    return _finish_index(index_dir, cfg, spec, t0, n_skipped)
+    return _finish_index(index_dir, cfg, spec, t0, n_skipped,
+                         time.perf_counter() - t_seg)
 
 
 def _finish_index(index_dir: str, cfg: EngineConfig,
-                  spec: IndexSpec, t0: float,
-                  n_skipped: int) -> BuildResult:
+                  spec: IndexSpec, t0: float, n_skipped: int,
+                  segments_sec: float = 0.0) -> BuildResult:
     manifests = completed_segments(index_dir)
-    mixed = sorted(s for s, m in manifests.items()
-                   if m.config_fingerprint != build_fingerprint(cfg,
-                                                                spec))
+    mixed = _foreign_segments(manifests, cfg, build_fingerprint(cfg, spec))
     if mixed:
         # only reachable when a foreign-config segment was never re-planned
         # (e.g. num_segments shrank): refuse to publish a mixed index
@@ -788,7 +870,9 @@ def _finish_index(index_dir: str, cfg: EngineConfig,
             f"under a different config fingerprint — refusing to mix; use a "
             f"fresh index_dir or delete them")
     segs = sorted(manifests.keys())
-    aggregate_dictionary(index_dir, cfg, segs)
+    t_dict = time.perf_counter()
+    refresh = aggregate_dictionary(index_dir, cfg, segs)
+    dictionary_sec = time.perf_counter() - t_dict
 
     num_docs = sum(m.num_docs for m in manifests.values())
     num_indexed = sum(m.num_docs_indexed for m in manifests.values())
@@ -802,10 +886,18 @@ def _finish_index(index_dir: str, cfg: EngineConfig,
         "segments": segs,
         "config_fingerprint": cfg.fingerprint(),
     }
+    if refresh["coverage"]:
+        stats[COVERAGE_KEY] = refresh["coverage"]
+    # written after the dictionary publish: a crash between the two
+    # leaves a record naming an older generation, and the next refresh
+    # reads every segment
     write_json_atomic(os.path.join(index_dir, STATS_NAME), stats)
     return BuildResult(index_dir=index_dir, num_docs=num_docs,
                        num_docs_indexed=num_indexed, sum_doc_len=sum_dl,
                        num_segments=len(segs),
                        segments_built=len(segs) - n_skipped,
                        segments_skipped=n_skipped,
-                       build_sec=time.perf_counter() - t0, stats=stats)
+                       build_sec=time.perf_counter() - t0, stats=stats,
+                       segments_sec=segments_sec,
+                       dictionary_sec=dictionary_sec,
+                       dictionary_inputs=refresh["inputs"])

@@ -45,7 +45,7 @@ from opensearch_jvector_ray.postings import (
 )
 from opensearch_jvector_ray.stages.build import (
     build_fingerprint,
-    POSTINGS_ROW_GROUP, IndexSpec, aggregate_dictionary,
+    COVERAGE_KEY, POSTINGS_ROW_GROUP, IndexSpec, aggregate_dictionary,
 )
 from opensearch_jvector_ray.state.manifest import (
     CONFIG_NAME, DOCS_NAME, POSTINGS_NAME, STATS_NAME, SegmentManifest,
@@ -648,8 +648,8 @@ def merge_index(src_index_dir: str, dst_index_dir: str,
         rd.from_items(items).map_batches(
             run_group, batch_format="pyarrow", batch_size=1,
             num_cpus=task_cpus).take_all()
-    aggregate_dictionary(dst_index_dir, cfg,
-                         sorted(completed_segments(dst_index_dir).keys()))
+    refresh = aggregate_dictionary(
+        dst_index_dir, cfg, sorted(completed_segments(dst_index_dir).keys()))
     out_manifests = completed_segments(dst_index_dir)
     num_indexed = sum(m.num_docs_indexed for m in out_manifests.values())
     sum_dl = sum(m.sum_doc_len for m in out_manifests.values())
@@ -664,6 +664,8 @@ def merge_index(src_index_dir: str, dst_index_dir: str,
         "merged_from": src_index_dir,
         "merge_sec": round(time.perf_counter() - t0, 3),
     }
+    if refresh["coverage"]:
+        stats[COVERAGE_KEY] = refresh["coverage"]
     write_json_atomic(os.path.join(dst_index_dir, STATS_NAME), stats)
     return stats
 

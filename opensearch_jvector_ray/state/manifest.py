@@ -31,6 +31,13 @@ def segment_dir(index_dir: str, seg: int) -> str:
     return os.path.join(index_dir, SEGMENTS_DIR, f"seg={seg:05d}")
 
 
+def file_id(path: str) -> tuple[int, int, int]:
+    """``(st_ino, st_mtime_ns, st_size)``: a file rewritten or replaced at
+    the same path gets a new identity."""
+    st = os.stat(path)
+    return st.st_ino, st.st_mtime_ns, st.st_size
+
+
 # -- dictionary generations (publish-then-point, Lucene commit-point analog)
 # A dictionary refresh PUBLISHES a new immutable generation subdir
 # ``dictionary/g<NNNNNNNNNN>/`` (atomic rename) instead of rewriting files

@@ -54,6 +54,7 @@ def test_salted_distributed_path_equals_local(tmp_path, monkeypatch):
         dict_dir = os.path.join(index_dir, "dictionary")
         os.makedirs(dict_dir, exist_ok=True)
         final.write_parquet(dict_dir)
+        return {"inputs": len(paths), "coverage": None}
 
     monkeypatch.setattr(bmod, "aggregate_dictionary", tiny_threshold_agg)
     build_index(rd.from_arrow(corpus), idx_dist, EngineConfig(num_segments=5),
